@@ -50,6 +50,7 @@ from .protocol import (
     ProtocolBundle,
     SimulationReport,
     BundleError,
+    abort_probability,
     bob_distribution,
     build_bundle,
     build_decoder,
@@ -59,7 +60,6 @@ from .protocol import (
     p1_bound_general,
     p1_equal_tail,
     simulate,
-    success_probability,
 )
 from .states import (
     BipartiteState,

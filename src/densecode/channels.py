@@ -104,7 +104,7 @@ def lifted_kraus_states(channel: QuantumChannel, psi: BipartiteState) -> list[Bi
     if psi.d != d:
         raise ValueError("lifted_kraus_states: state dimension mismatch")
     amps = [abs(psi.coords[basis_index(j, j, d)]) for j in range(d)]
-    if min(amps) <= 1e-12:
+    if min(amps) <= tolerances.get().equality:
         raise ValueError("lifted_kraus_states: zero Schmidt coefficient detected")
     return [apply_local(k, psi) for k in channel.kraus]
 
@@ -349,7 +349,7 @@ def support_containment_check(
         post = (joint.reshape(d2, n_anc) @ m.T).reshape(-1)
         rho_y = trace_out_ancilla_state(post, n_anc)
         prob = float(np.trace(rho_y).real)
-        if prob > 1e-12:
+        if prob > tol.equality:
             residual = max_abs(complement @ (rho_y / prob) @ complement)
         else:
             residual = 0.0

@@ -306,16 +306,19 @@ def main(argv: list[str] | None = None) -> int:
         argv, overrides = _extract_tolerance_flags(argv)
     except ValueError as err:
         return _fail(str(err))
+    previous = tolerances.get()
     if overrides:
         tolerances.override(**overrides)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except BundleError as err:
         return _fail(str(err), defects={k: float(v) for k, v in err.defects.items()})
     except (ValueError, OSError) as err:
         return _fail(str(err))
+    finally:
+        # The overrides hold for this invocation only, not for later in-process calls.
+        tolerances.set_active(previous)
 
 
 if __name__ == "__main__":

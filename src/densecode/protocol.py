@@ -223,7 +223,7 @@ def build_bundle(
     )
 
 
-def success_probability(bundle: ProtocolBundle) -> float:
+def abort_probability(bundle: ProtocolBundle) -> float:
     """The ancilla-outcome-1 probability p1 = sum_j lambda_j gamma_j.
 
     This is the chance the final-message encoding aborts; the protocol
@@ -276,11 +276,12 @@ def equal_tail_spectrum(d: int, lambda0: float) -> SchmidtSpectrum:
 
 def bounds_rows(d: int, lambda0s) -> list[dict[str, float]]:
     """Sweep rows (d, lambda0, exact p1, general bound, equal-tail bound)."""
+    eq = tolerances.get().equality
     rows = []
     for lam0 in lambda0s:
         exact, bound_tail = p1_equal_tail(d, float(lam0))
         bound_gen = p1_bound_general(equal_tail_spectrum(d, float(lam0)))
-        if exact > bound_tail + 1e-12 or bound_tail > bound_gen + 1e-12:
+        if exact > bound_tail + eq or bound_tail > bound_gen + eq:
             raise RuntimeError(f"bound ordering violated at d={d}, lambda0={lam0}")
         rows.append(
             {
@@ -355,7 +356,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _encoded_states(bundle: ProtocolBundle):
-    """Per-bundle cache of every deterministic encoding output (trial hot path)."""
+    """Per-bundle cache of every deterministic encoding output."""
     d = bundle.d
     psi = make_schmidt_state(bundle.spectrum)
     lifted = tuple(_frozen(apply_local(u, psi).coords) for u in bundle.messages.unitaries)
@@ -375,6 +376,22 @@ def _encoded_states(bundle: ProtocolBundle):
     return lifted, _frozen(full), _frozen(survived), aborted
 
 
+def _check_message(bundle: ProtocolBundle, index: int, caller: str) -> None:
+    last = bundle.n_messages - 1
+    if not 0 <= index <= last:
+        raise ValueError(f"{caller}: index {index} out of range 0..{last}")
+
+
+def _delivered(bundle: ProtocolBundle, index: int, variant: str) -> EncodedMessage:
+    """The encoded state of message ``index`` when the encoding does not abort."""
+    lifted, full, survived, _ = _encoded_states(bundle)
+    if index < len(bundle.messages):
+        return EncodedMessage(state=lifted[index], ancilla_dim=1, aborted=False, ancilla_outcome=None)
+    if variant == VARIANT_NO_MEASURE:
+        return EncodedMessage(state=full, ancilla_dim=3, aborted=False, ancilla_outcome=None)
+    return EncodedMessage(state=survived, ancilla_dim=3, aborted=False, ancilla_outcome=0)
+
+
 def encode_message(
     bundle: ProtocolBundle, index: int, variant: str, rng: np.random.Generator
 ) -> EncodedMessage:
@@ -385,18 +402,12 @@ def encode_message(
     the full three-branch state is returned and no abort can happen.
     """
     variant = normalize_variant(variant)
-    d = bundle.d
-    last = d * d - 2
-    if not 0 <= index <= last:
-        raise ValueError(f"encode_message: index {index} out of range 0..{last}")
-    lifted, full, survived, aborted = _encoded_states(bundle)
-    if index < last:
-        return EncodedMessage(state=lifted[index], ancilla_dim=1, aborted=False, ancilla_outcome=None)
-    if variant == VARIANT_NO_MEASURE:
-        return EncodedMessage(state=full, ancilla_dim=3, aborted=False, ancilla_outcome=None)
-    if aborted is not None and float(rng.random()) < bundle.p1:
-        return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
-    return EncodedMessage(state=survived, ancilla_dim=3, aborted=False, ancilla_outcome=0)
+    _check_message(bundle, index, "encode_message")
+    if index == len(bundle.messages) and variant == VARIANT_MEASURE:
+        aborted = _encoded_states(bundle)[3]
+        if aborted is not None and float(rng.random()) < bundle.p1:
+            return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
+    return _delivered(bundle, index, variant)
 
 
 def bob_distribution(decoder: Decoder, encoded: EncodedMessage) -> np.ndarray:
@@ -409,6 +420,10 @@ def bob_distribution(decoder: Decoder, encoded: EncodedMessage) -> np.ndarray:
     probs = np.clip(probs, 0.0, None)
     residual = max(0.0, 1.0 - float(probs.sum()))
     return np.append(probs, residual)
+
+
+# Trials per derived stream in ``simulate``; part of the seed -> histogram contract.
+SIM_CHUNK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -434,39 +449,35 @@ def simulate(
 ) -> SimulationReport:
     """Monte-Carlo run: encode, then sample the receiver's projective outcome.
 
-    Each trial draws from its own counter-derived stream, so runs are
-    reproducible for a given seed regardless of execution order.  Residual
-    probability mass outside the decoder projectors lands in an explicit
-    ``undetected`` bucket rather than being renormalized away.
+    Trials run in chunks of ``SIM_CHUNK``; chunk ``k`` draws from the derived
+    stream ``rng_from(seed, k)``.  Each trial takes one uniform, inverted
+    through the cumulative receiver distribution, and the measured final
+    message takes a second one per trial for its ancilla abort (probability
+    p1).  A seed therefore fixes the histogram whatever order the chunks run
+    in.  Residual probability mass outside the decoder projectors lands in
+    an explicit ``undetected`` bucket rather than being renormalized away.
     """
     variant = normalize_variant(variant)
     if trials < 1:
         raise ValueError("simulate: trials must be >= 1")
-    counts: dict[str, int] = {str(j): 0 for j in range(decoder.n_outcomes)}
-    counts["aborted"] = 0
-    counts["undetected"] = 0
-
-    cumulatives: dict[int | None, np.ndarray] = {}
-
-    def cumulative_for(enc: EncodedMessage) -> np.ndarray:
-        key = enc.ancilla_outcome
-        if key not in cumulatives:
-            cumulatives[key] = np.cumsum(bob_distribution(decoder, enc))
-        return cumulatives[key]
+    _check_message(bundle, message, "simulate")
+    measured = message == len(bundle.messages) and variant == VARIANT_MEASURE
+    cum = np.cumsum(bob_distribution(decoder, _delivered(bundle, message, variant)))
 
     n_out = decoder.n_outcomes
-    for trial in range(trials):
-        rng = rng_from(seed, trial)
-        enc = encode_message(bundle, message, variant, rng)
-        if enc.aborted:
-            counts["aborted"] += 1
-            continue
-        cum = cumulative_for(enc)
-        idx = int(np.searchsorted(cum, float(rng.random()), side="right"))
-        if idx >= n_out:
-            counts["undetected"] += 1
-        else:
-            counts[str(idx)] += 1
+    undetected, aborted = n_out, n_out + 1
+    tally = np.zeros(n_out + 2, dtype=np.int64)
+    for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
+        n = min(SIM_CHUNK, trials - start)
+        rng = rng_from(seed, chunk)
+        codes = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), undetected)
+        if measured:
+            codes[rng.random(n) < bundle.p1] = aborted
+        tally += np.bincount(codes, minlength=n_out + 2)
+
+    counts = {str(j): int(tally[j]) for j in range(n_out)}
+    counts["aborted"] = int(tally[aborted])
+    counts["undetected"] = int(tally[undetected])
     return SimulationReport(
         trials=trials,
         message_sent=message,

@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densecode.linalg import max_abs, rng_from
 from densecode.protocol import (
+    SIM_CHUNK,
     BundleError,
     VARIANT_MEASURE,
     VARIANT_NO_MEASURE,
+    abort_probability,
     bob_distribution,
     bounds_rows,
     build_bundle,
+    build_decoder,
     bundle_to_json,
     compute_R,
     default_messages,
@@ -18,7 +24,6 @@ from densecode.protocol import (
     p1_equal_tail,
     report_to_json,
     simulate,
-    success_probability,
 )
 from densecode.serialize import dumps
 from densecode.states import SchmidtSpectrum, make_schmidt_state, uniform_spectrum
@@ -114,11 +119,11 @@ def test_lifted_branches_orthogonal_to_messages(example_spectrum):
                 assert abs(np.vdot(apply_local(u, psi).coords, lifted)) < 1e-10
 
 
-def test_success_probability_routes(example_bundle):
-    assert abs(success_probability(example_bundle) - 2 / 81) < 1e-12
+def test_abort_probability_routes(example_bundle):
+    assert abs(abort_probability(example_bundle) - 2 / 81) < 1e-12
 
 
-def test_success_probability_equal_tail_d3():
+def test_abort_probability_equal_tail_d3():
     s = SchmidtSpectrum.from_values([3 / 8, 5 / 16, 5 / 16])
     lam = np.asarray(s.lambdas)
     p1_sum = float(np.sum(lam * gamma_from_spectrum(s)))
@@ -254,6 +259,72 @@ def test_simulate_deterministic_given_seed(example_bundle, example_decoder):
     assert a == b
     c = simulate(example_bundle, example_decoder, 2, 400, VARIANT_MEASURE, seed=18)
     assert a != c
+
+
+def test_simulate_rejects_bad_message(example_bundle, example_decoder):
+    with pytest.raises(ValueError, match="out of range"):
+        simulate(example_bundle, example_decoder, 3, 10, VARIANT_MEASURE, seed=1)
+
+
+@pytest.mark.parametrize("trials", [1, SIM_CHUNK - 1, SIM_CHUNK, SIM_CHUNK + 1, 3 * SIM_CHUNK])
+def test_simulate_chunk_boundaries(example_bundle, example_decoder, trials):
+    for message in (0, 1):
+        for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
+            hist = simulate(example_bundle, example_decoder, message, trials, variant, seed=7).outcome_histogram
+            assert sum(hist.values()) == trials
+            assert hist[str(message)] == trials
+    hist = simulate(example_bundle, example_decoder, 2, trials, VARIANT_MEASURE, seed=7).outcome_histogram
+    assert sum(hist.values()) == trials
+    assert hist["aborted"] + hist["2"] == trials
+    assert hist["0"] == hist["1"] == hist["undetected"] == 0
+
+
+def test_simulate_chunk_streams(example_bundle, example_decoder):
+    # A full chunk draws the same stream whatever follows it, so one more
+    # trial past a chunk boundary adds exactly one outcome.
+    full = simulate(example_bundle, example_decoder, 2, SIM_CHUNK, VARIANT_MEASURE, seed=7)
+    more = simulate(example_bundle, example_decoder, 2, SIM_CHUNK + 1, VARIANT_MEASURE, seed=7)
+    diffs = [more.outcome_histogram[k] - full.outcome_histogram[k] for k in full.outcome_histogram]
+    assert sorted(diffs) == [0, 0, 0, 0, 1]
+    aborts = {
+        simulate(example_bundle, example_decoder, 2, 3 * SIM_CHUNK, VARIANT_MEASURE, seed=s).outcome_histogram["aborted"]
+        for s in range(5)
+    }
+    assert len(aborts) > 1
+    # Each chunk draws its own stream, so two chunks are not one chunk twice.
+    assert any(
+        simulate(example_bundle, example_decoder, 2, 2 * SIM_CHUNK, VARIANT_MEASURE, seed=s).outcome_histogram["aborted"]
+        != 2 * simulate(example_bundle, example_decoder, 2, SIM_CHUNK, VARIANT_MEASURE, seed=s).outcome_histogram["aborted"]
+        for s in range(3)
+    )
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    # lambda0 -> 1 meets the d/(d^2-2) = 1 edge, which build_bundle refuses within tolerance.
+    lam0=st.floats(min_value=0.5, max_value=1.0 - 1e-9, exclude_min=True),
+    trials=st.integers(min_value=1, max_value=3 * SIM_CHUNK + 1),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 4),
+)
+def test_simulate_abort_frequency_property(lam0, trials, seed):
+    bundle = build_bundle(SchmidtSpectrum.from_values([lam0, 1.0 - lam0]), default_messages(2), seed=SEED)
+    decoder = build_decoder(bundle)
+    report = simulate(bundle, decoder, 2, trials, VARIANT_MEASURE, seed=seed)
+    assert simulate(bundle, decoder, 2, trials, VARIANT_MEASURE, seed=seed) == report
+    aborted = report.outcome_histogram["aborted"]
+    assert aborted + report.outcome_histogram["2"] == trials
+    # 5 sigma as a Bernstein bound at the two-sided 5-sigma tail mass: about
+    # 5.5 sigma for large counts, and still valid where p1 * trials or
+    # (1 - p1) * trials is tiny and the normal approximation is not.
+    log_tail = math.log(2.0 / math.erfc(5.0 / math.sqrt(2.0)))
+    var = trials * bundle.p1 * (1.0 - bundle.p1)
+    allowed = log_tail / 3.0 + math.sqrt((log_tail / 3.0) ** 2 + 2.0 * var * log_tail)
+    assert abs(aborted - bundle.p1 * trials) <= allowed
+    # Reports also compare their seeds, so check that other seeds move the
+    # counts themselves, where the spread makes a three-way tie negligible.
+    if var >= 100:
+        others = [simulate(bundle, decoder, 2, trials, VARIANT_MEASURE, seed=seed + k) for k in (1, 2, 3)]
+        assert any(o.outcome_histogram != report.outcome_histogram for o in others)
 
 
 def test_simulate_accepts_cli_variant_names(example_bundle, example_decoder):
