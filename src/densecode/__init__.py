@@ -3,7 +3,7 @@
 Library layout:
 
 - ``linalg``: dense complex kernel (Kronecker/Gram products, seeded unitary
-  completion, cyclic Jacobi eigensolver, diagonal square roots)
+  completion, LAPACK Hermitian eigensystems, diagonal square roots)
 - ``states``: Schmidt spectra, the shared state, local action, partial trace
 - ``channels``: operator-sum channels, dilation, Kraus-pair orthogonalization,
   ancilla-measurement support containment

@@ -204,6 +204,26 @@ class OrthogonalizationResult:
     xi: float
 
 
+def orthogonality_roots(
+    phi0: np.ndarray, phi1: np.ndarray
+) -> tuple[tuple[complex, complex], float] | None:
+    """Both roots of the orthogonality quadratic for lifted states ``phi0``, ``phi1``.
+
+    The quadratic is a z^2 + b z + c = 0 with a = -<phi_1|phi_0>,
+    b = <phi_0|phi_0> - <phi_1|phi_1> and c = <phi_0|phi_1>; its discriminant
+    is real and positive.  Returns the roots and their worst residual
+    |a z^2 + b z + c|, or None when the states are already orthogonal.
+    """
+    c = complex(np.vdot(phi0, phi1))
+    if abs(c) < 1e-13:
+        return None
+    a = -np.conj(c)
+    b = float(np.vdot(phi0, phi0).real - np.vdot(phi1, phi1).real)
+    root_disc = np.sqrt(complex(b * b - 4.0 * a * c))
+    roots = ((-b + root_disc) / (2.0 * a), (-b - root_disc) / (2.0 * a))
+    return roots, max(abs(a * z * z + b * z + c) for z in roots)
+
+
 def orthogonalize_kraus_pair(
     k0: np.ndarray, k1: np.ndarray, psi: BipartiteState
 ) -> tuple[OrthogonalizationResult, np.ndarray, np.ndarray]:
@@ -237,26 +257,14 @@ def orthogonalize_kraus_pair(
             f"orthogonalize_kraus_pair: pair is not trace-preserving (defect {tp_defect:g})"
         )
 
-    phi0 = apply_local(k0, psi).coords
-    phi1 = apply_local(k1, psi).coords
-    overlap = complex(np.vdot(phi0, phi1))
-    if abs(overlap) < 1e-13:
+    quadratic = orthogonality_roots(apply_local(k0, psi).coords, apply_local(k1, psi).coords)
+    if quadratic is None:
         v = np.eye(2, dtype=complex)
         result = OrthogonalizationResult(v=v, z=0.0 + 0.0j, theta=0.0, xi=0.0)
         return result, k0.copy(), k1.copy()
-
-    # Quadratic a z^2 + b z + c = 0; the discriminant is real and positive.
-    a = -np.conj(overlap)
-    b = float(np.vdot(phi0, phi0).real - np.vdot(phi1, phi1).real)
-    c = overlap
-    if abs(a) == 0.0:
-        raise RuntimeError("orthogonalize_kraus_pair: degenerate quadratic with nonzero overlap")
-    root_disc = np.sqrt(complex(b * b - 4.0 * a * c))
-    roots = ((-b + root_disc) / (2.0 * a), (-b - root_disc) / (2.0 * a))
-    for z in roots:
-        residual = abs(a * z * z + b * z + c)
-        if residual > tol.quadratic:
-            raise RuntimeError(f"orthogonalize_kraus_pair: root residual {residual:g}")
+    roots, residual = quadratic
+    if residual > tol.quadratic:
+        raise RuntimeError(f"orthogonalize_kraus_pair: root residual {residual:g}")
     z = min(roots, key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
 
     theta = math.atan(abs(z))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .linalg import as_matrix, dagger, hermitian_eigensystem, max_abs, rng_from, unitarity_defect
+from .linalg import as_matrix, dagger, max_abs, rng_from, unitarity_defect
 from .serialize import SCHEMA, matrix_from_json, matrix_to_json
 from .states import BipartiteState, SchmidtSpectrum, apply_local, make_schmidt_state
 
@@ -97,162 +97,99 @@ def weyl_set(d: int) -> UnitaryMessageSet:
 # ---------------------------------------------------------------------------
 
 def hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrix from d^2 real parameters (diagonal, then re/im pairs)."""
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = theta[:d]
-    idx = d
-    for a in range(d):
-        for b in range(a + 1, d):
-            h[a, b] = theta[idx] + 1j * theta[idx + 1]
-            h[b, a] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
+    """Hermitian matrix from d^2 real parameters (diagonal, then re/im pairs).
+
+    A ``(..., d^2)`` stack of parameter blocks gives a ``(..., d, d)`` stack.
+    """
+    theta = np.asarray(theta, dtype=float)
+    rows, cols = np.triu_indices(d, 1)
+    h = np.zeros(theta.shape[:-1] + (d, d), dtype=complex)
+    h[..., np.arange(d), np.arange(d)] = theta[..., :d]
+    upper = theta[..., d::2] + 1j * theta[..., d + 1 :: 2]
+    h[..., rows, cols] = upper
+    h[..., cols, rows] = upper.conj()
     return h
-
-
-def unitary_from_generator(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h, by scaled-and-squared Taylor summation."""
-    h = as_matrix(h)
-    n = h.shape[0]
-    a = 1j * h
-    scale = float(np.linalg.norm(a, np.inf))
-    squarings = max(0, int(np.ceil(np.log2(scale))) + 1) if scale > 0.5 else 0
-    a = a / (2.0 ** squarings)
-    term = np.eye(n, dtype=complex)
-    total = np.eye(n, dtype=complex)
-    for k in range(1, 60):
-        term = term @ a / k
-        total = total + term
-        if max_abs(term) < 1e-18:
-            break
-    for _ in range(squarings):
-        total = total @ total
-    return total
 
 
 def _phi_matrix(eigs: np.ndarray) -> np.ndarray:
     """Divided differences of exp(i .) on an eigenvalue grid (derivative kernel)."""
-    delta = eigs[:, None] - eigs[None, :]
-    mid = np.exp(0.5j * (eigs[:, None] + eigs[None, :]))
+    delta = eigs[..., :, None] - eigs[..., None, :]
+    mid = np.exp(0.5j * (eigs[..., :, None] + eigs[..., None, :]))
     return 1j * mid * np.sinc(delta / (2.0 * np.pi))
 
 
-def _unitaries_from_theta(theta: np.ndarray, d: int, count: int) -> list[np.ndarray]:
-    us = [np.eye(d, dtype=complex)]
-    block = d * d
-    for k in range(count - 1):
-        h = hermitian_from_params(theta[k * block : (k + 1) * block], d)
-        us.append(unitary_from_generator(h))
-    return us
-
-
 def _decompose_generators(theta: np.ndarray, d: int, count: int):
-    """Eigendata, derivative kernels and unitaries for every free generator."""
-    block = d * d
-    qs: list[np.ndarray | None] = [None]
-    phis: list[np.ndarray | None] = [None]
-    us = [np.eye(d, dtype=complex)]
-    for k in range(count - 1):
-        h = hermitian_from_params(theta[k * block : (k + 1) * block], d)
-        w, q = hermitian_eigensystem(h)
-        qs.append(q)
-        phis.append(_phi_matrix(w))
-        us.append(q @ np.diag(np.exp(1j * w)) @ dagger(q))
-    return qs, phis, us
+    """Eigenvectors, derivative kernels and unitaries for every message.
+
+    The ``count - 1`` free generators go through one stacked eigensolve;
+    ``us[0]`` is the pinned identity and ``us[k] = exp(i H_k)`` for k >= 1,
+    whose eigendata sit at index ``k - 1`` of the returned ``q`` and ``phi``.
+    """
+    h = hermitian_from_params(np.reshape(theta, (count - 1, d * d)), d)
+    w, q = np.linalg.eigh(h)
+    us = np.empty((count, d, d), dtype=complex)
+    us[0] = np.eye(d)
+    us[1:] = (q * np.exp(1j * w)[:, None, :]) @ dagger(q)
+    return q, _phi_matrix(w), us
+
+
+def _pair_overlaps(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
+    """Lifted-state overlaps <U_i psi|U_j psi> for every pair i < j, in row order."""
+    lam = np.asarray(spectrum.lambdas)
+    g = np.einsum("a,iba,jba->ij", lam, us.conj(), us)
+    return g[np.triu_indices(len(us), 1)]
 
 
 def gram_mass_objective(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> float:
     """Sum of squared off-diagonal lifted-state overlaps; zero at perfect distinguishability."""
-    d = spectrum.d
-    us = _unitaries_from_theta(np.asarray(theta, dtype=float), d, count)
-    lam = np.asarray(spectrum.lambdas)
-    value = 0.0
-    for i in range(count):
-        for j in range(i + 1, count):
-            g = np.sum(lam * np.diag(dagger(us[i]) @ us[j]))
-            value += abs(g) ** 2
-    return float(value)
+    _, _, us = _decompose_generators(theta, spectrum.d, count)
+    return float(np.sum(np.abs(_pair_overlaps(spectrum, us)) ** 2))
 
 
 def gram_mass_gradient(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> np.ndarray:
-    """Analytic gradient of the objective with respect to the generator parameters.
+    """Analytic gradient of the objective, 2 Re(J^H o), in the generator parameters.
 
-    Uses the spectral form of the matrix-exponential derivative: in the
-    eigenbasis of a generator, a perturbation is damped entrywise by the
-    divided-difference kernel of exp(i .).
+    ``o`` holds the pair overlaps and ``J`` their Jacobian.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = spectrum.d
-    lam = np.asarray(spectrum.lambdas)
-    dmat = np.diag(lam.astype(complex))
-    block = d * d
-    qs, phis, us = _decompose_generators(theta, d, count)
+    overlaps, jac = _gram_and_jacobian(spectrum, theta, count)
+    return 2.0 * np.real(dagger(jac) @ overlaps)
 
-    grads = np.zeros_like(theta)
-    for k in range(1, count):
-        q, phi = qs[k], phis[k]
-        ctot = np.zeros((d, d), dtype=complex)
-        for i in range(count):
-            if i == k:
-                continue
-            lo, hi = min(i, k), max(i, k)
-            g = complex(np.sum(lam * np.diag(dagger(us[lo]) @ us[hi])))
-            if k == hi:  # k enters on the right of the pair
-                a = dagger(q) @ (dmat @ dagger(us[lo])) @ q
-                ctot += np.conj(g) * (a.T * phi)
-            else:  # k enters daggered on the left
-                b = dagger(q) @ (us[hi] @ dmat) @ q
-                ctot += np.conj(g) * (b.T * np.conj(phi).T)
-        kmat = np.conj(q) @ ctot @ q.T
-        gk = np.empty(block)
-        gk[:d] = 2.0 * np.real(np.diag(kmat))
-        idx = d
-        for a_ in range(d):
-            for b_ in range(a_ + 1, d):
-                gk[idx] = 2.0 * np.real(kmat[a_, b_] + kmat[b_, a_])
-                gk[idx + 1] = -2.0 * np.imag(kmat[a_, b_] - kmat[b_, a_])
-                idx += 2
-        grads[(k - 1) * block : k * block] = gk
-    return grads
+
+def _trace_derivative(
+    q: np.ndarray, m: np.ndarray, phi: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
+    """Derivatives of tr(m f(H)) in the d^2 parameters of H, for stacks of H.
+
+    Uses the spectral form of the matrix-function derivative: in the
+    eigenbasis ``q`` of H, a perturbation is damped entrywise by the
+    divided-difference kernel ``phi`` of f.  ``basis`` holds dH/dtheta.
+    """
+    a = np.swapaxes(dagger(q) @ m @ q, -1, -2)
+    k = q.conj() @ (a * phi) @ np.swapaxes(q, -1, -2)
+    return np.einsum("pab,kab->pk", k, basis)
 
 
 def _gram_and_jacobian(
     spectrum: SchmidtSpectrum, theta: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Off-diagonal lifted overlaps and their Jacobian in the generator parameters."""
-    theta = np.asarray(theta, dtype=float)
     d = spectrum.d
     lam = np.asarray(spectrum.lambdas)
-    dmat = np.diag(lam.astype(complex))
-    block = d * d
-    qs, phis, us = _decompose_generators(theta, d, count)
-
-    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-    overlaps = np.empty(len(pairs), dtype=complex)
-    jac = np.zeros((len(pairs), (count - 1) * block), dtype=complex)
-
-    def extract(kmat: np.ndarray) -> np.ndarray:
-        col = np.empty(block, dtype=complex)
-        col[:d] = np.diag(kmat)
-        idx = d
-        for a_ in range(d):
-            for b_ in range(a_ + 1, d):
-                col[idx] = kmat[a_, b_] + kmat[b_, a_]
-                col[idx + 1] = 1j * (kmat[a_, b_] - kmat[b_, a_])
-                idx += 2
-        return col
-
-    for p, (i, j) in enumerate(pairs):
-        overlaps[p] = np.sum(lam * np.diag(dagger(us[i]) @ us[j]))
-        q, phi = qs[j], phis[j]
-        a = dagger(q) @ (dmat @ dagger(us[i])) @ q
-        kmat = np.conj(q) @ (a.T * phi) @ q.T
-        jac[p, (j - 1) * block : j * block] = extract(kmat)
-        if i >= 1:
-            q, phi = qs[i], phis[i]
-            b = dagger(q) @ (us[j] @ dmat) @ q
-            kmat = np.conj(q) @ (b.T * np.conj(phi).T) @ q.T
-            jac[p, (i - 1) * block : i * block] += extract(kmat)
-    return overlaps, jac
+    q, phi, us = _decompose_generators(theta, d, count)
+    basis = hermitian_from_params(np.eye(d * d), d)
+    i, j = np.triu_indices(count, 1)
+    pairs = np.arange(len(i))
+    jac = np.zeros((len(i), count - 1, d * d), dtype=complex)
+    # Overlap (i, j) is tr(D U_i^dag U_j): U_j enters on the right ...
+    jac[pairs, j - 1] = _trace_derivative(
+        q[j - 1], lam[:, None] * dagger(us[i]), phi[j - 1], basis
+    )
+    # ... and U_i = exp(i H_i) daggered on the left, unless i is the pinned identity.
+    left = i >= 1
+    jac[pairs[left], i[left] - 1] += _trace_derivative(
+        q[i[left] - 1], us[j[left]] * lam, phi[i[left] - 1].conj(), basis
+    )
+    return _pair_overlaps(spectrum, us), jac.reshape(len(i), -1)
 
 
 def _polish(
@@ -359,9 +296,8 @@ def search_message_set(
         theta0 = rng.standard_normal(n_params)
         theta, _ = _descend(spectrum, theta0, count)
         theta, _ = _polish(spectrum, theta, count)
-        candidate = UnitaryMessageSet(
-            d=d, unitaries=tuple(_unitaries_from_theta(theta, d, count))
-        )
+        _, _, us = _decompose_generators(theta, d, count)
+        candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
         if certify_distinguishable(candidate, psi).passed:
             return candidate
     return None

@@ -1,11 +1,11 @@
-"""Dense complex matrix kernel for small dimensions (intended for n <= 16).
+"""Dense complex matrix kernel for small dimensions.
 
-Products, adjoints and Kronecker products defer to numpy on complex128
-arrays (pairs of double-precision reals).  The pieces with bespoke numerics
-live here: seeded unitary completion by modified Gram-Schmidt, a cyclic
-Jacobi eigensolver for Hermitian matrices, and square roots of positive
-diagonal matrices.  All functions are pure; randomized ones take explicit
-seeds and are reproducible bit for bit.
+Products, adjoints, Kronecker products and Hermitian eigensystems defer to
+numpy (LAPACK) on complex128 arrays (pairs of double-precision reals).  The
+pieces with bespoke numerics live here: seeded unitary completion by
+modified Gram-Schmidt and square roots of positive diagonal matrices.  All
+functions are pure; randomized ones take explicit seeds and are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def as_vector(v) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(np.asarray(a), -1, -2).conj()
 
 
 def max_abs(a) -> float:
@@ -134,69 +135,23 @@ def complete_to_unitary(
     return m
 
 
-def hermitian_eigensystem(
-    h: np.ndarray, *, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
-    Cyclic Jacobi rotations; a sweep visits every off-diagonal entry and
-    the iteration stops once the off-diagonal Frobenius mass falls below
-    the jacobi tolerance times the matrix scale.  Returns ``(w, v)`` with
-    ``v`` unitary, columns ordered to match ``w``.
+    LAPACK (``np.linalg.eigh``) on the symmetrised input.  Returns ``(w, v)``
+    with ``v`` unitary, columns ordered to match ``w``.
     """
-    tol = tolerances.get()
-    a = as_matrix(h).copy()
-    n = a.shape[0]
-    if a.shape[1] != n:
+    a = as_matrix(h)
+    if a.shape[1] != a.shape[0]:
         raise ValueError("hermitian_eigensystem: matrix is not square")
-    if max_abs(a - dagger(a)) > tol.unitarity:
+    if max_abs(a - dagger(a)) > tolerances.get().unitarity:
         raise ValueError("hermitian_eigensystem: matrix is not Hermitian")
-    a = (a + dagger(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n > 1:
-        target = tol.jacobi * max(1.0, float(np.linalg.norm(a)))
-        skip = target / (2.0 * n)
-        off_mask = ~np.eye(n, dtype=bool)
-        for _ in range(max_sweeps):
-            off = float(np.sqrt(np.sum(np.abs(a[off_mask]) ** 2)))
-            if off <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    g = abs(a[p, q])
-                    if g <= skip:
-                        continue
-                    f = a[p, q] / g  # unit phase of the pivot entry
-                    tau = (a[q, q].real - a[p, p].real) / (2.0 * g)
-                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    fb = np.conj(f)
-                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p - fb * s * col_q
-                    a[:, q] = s * col_p + fb * c * col_q
-                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * row_p - f * s * row_q
-                    a[q, :] = s * row_p + f * c * row_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    a[p, p] = a[p, p].real
-                    a[q, q] = a[q, q].real
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vp - fb * s * vq
-                    v[:, q] = s * vp + fb * c * vq
-        else:
-            raise RuntimeError("hermitian_eigensystem: Jacobi sweep limit reached")
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
+    return w[::-1], v[:, ::-1]
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending (dimension <= 16)."""
-    h = as_matrix(h)
-    if h.shape[0] > 16:
-        raise ValueError("hermitian_eigenvalues: dimension exceeds 16")
+    """Real eigenvalues of a Hermitian matrix, descending."""
     w, _ = hermitian_eigensystem(h)
     return w
 

@@ -20,6 +20,7 @@ from .channels import (
     dilation_unitary,
     kraus_rank,
     lifted_kraus_states,
+    orthogonality_roots,
     orthogonalize_kraus_pair,
     random_trace_preserving_channel,
     support_containment_check,
@@ -123,15 +124,9 @@ def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
         after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
         worst_action = max(worst_action, max_abs(before - after))
         # Both quadratic roots must satisfy the orthogonality equation.
-        l0 = apply_local(k0, psi).coords
-        l1 = apply_local(k1, psi).coords
-        overlap = complex(np.vdot(l0, l1))
-        if abs(overlap) > 1e-13:
-            a = -np.conj(overlap)
-            b = float(np.vdot(l0, l0).real - np.vdot(l1, l1).real)
-            disc = np.sqrt(complex(b * b - 4.0 * a * overlap))
-            for root in ((-b + disc) / (2 * a), (-b - disc) / (2 * a)):
-                worst_residual = max(worst_residual, abs(a * root * root + b * root + overlap))
+        quadratic = orthogonality_roots(apply_local(k0, psi).coords, apply_local(k1, psi).coords)
+        if quadratic is not None:
+            worst_residual = max(worst_residual, quadratic[1])
     return SuiteReport(
         suite="orthogonalize",
         checks=(
@@ -243,29 +238,23 @@ SUITE_ALIASES = {
     "support": "containment",
 }
 
-SUITE_NAMES = ("dilation", "orthogonalize", "independence", "identities", "containment")
+SUITE_RUNNERS = {
+    "dilation": lambda seed, d: dilation_suite(seed),
+    "orthogonalize": lambda seed, d: orthogonalize_suite(seed),
+    "independence": lambda seed, d: independence_suite(seed),
+    "identities": lambda seed, d: identities_suite(d),
+    "containment": lambda seed, d: containment_suite(seed),
+}
+
+SUITE_NAMES = tuple(SUITE_RUNNERS)
 
 
 def run_suite(name: str, seed: int, d: int = 2) -> list[SuiteReport]:
     """Run one named suite (or ``all``); aliases are accepted."""
     if name == "all":
-        return [
-            dilation_suite(seed),
-            orthogonalize_suite(seed),
-            independence_suite(seed),
-            identities_suite(d),
-            containment_suite(seed),
-        ]
-    try:
-        canonical = SUITE_ALIASES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}") from None
-    if canonical == "dilation":
-        return [dilation_suite(seed)]
-    if canonical == "orthogonalize":
-        return [orthogonalize_suite(seed)]
-    if canonical == "independence":
-        return [independence_suite(seed)]
-    if canonical == "identities":
-        return [identities_suite(d)]
-    return [containment_suite(seed)]
+        names = SUITE_NAMES
+    elif name in SUITE_ALIASES:
+        names = (SUITE_ALIASES[name],)
+    else:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    return [SUITE_RUNNERS[n](seed, d) for n in names]

@@ -3,7 +3,8 @@
 Every numerical gate in the package reads its threshold from the active
 ``Tolerances`` instance so that calibration has a single knob.  The defaults
 are: 1e-10 for orthonormality/unitarity defects, 1e-12 for equality
-assertions, and the per-check values listed below.
+assertions, and the per-check values listed below.  Eigensystems come from
+LAPACK and take no tolerance of their own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class Tolerances:
     quadratic: float = 1e-12          # orthogonalization root residual
     case_split: float = 1e-10         # |x - 1/2| case boundary
     completion_redraw: float = 1e-8   # minimum norm before redrawing a column
-    jacobi: float = 1e-14             # off-diagonal mass target (times scale)
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)

@@ -13,11 +13,11 @@ from densecode.encoding import (
     message_set_from_json,
     message_set_to_json,
     search_message_set,
-    unitary_from_generator,
     weyl_set,
 )
-from densecode.linalg import hermitian_eigensystem, max_abs, rng_from, unitarity_defect
-from densecode.states import SchmidtSpectrum, make_schmidt_state, uniform_spectrum
+from densecode.encoding import _decompose_generators
+from densecode.linalg import max_abs, rng_from, unitarity_defect
+from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 from densecode.suites import random_spectrum
 
 from conftest import I2, X, Z
@@ -97,17 +97,52 @@ def test_weyl_set_certified_on_maximally_entangled():
         assert certify_distinguishable(weyl_set(d), psi).passed
 
 
+def taylor_exponential(h: np.ndarray) -> np.ndarray:
+    """Reference exp(i h) for Hermitian h, by scaled-and-squared Taylor summation."""
+    n = h.shape[0]
+    a = 1j * h
+    scale = float(np.linalg.norm(a, np.inf))
+    squarings = max(0, int(np.ceil(np.log2(scale))) + 1) if scale > 0.5 else 0
+    a = a / (2.0 ** squarings)
+    term = np.eye(n, dtype=complex)
+    total = np.eye(n, dtype=complex)
+    for k in range(1, 60):
+        term = term @ a / k
+        total = total + term
+        if max_abs(term) < 1e-18:
+            break
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
 def test_generator_exponential_is_unitary():
     rng = rng_from(73)
     for d in (2, 3, 4):
-        h = hermitian_from_params(rng.standard_normal(d * d), d)
-        u = unitary_from_generator(h)
-        assert unitarity_defect(u) < 1e-13
-        # Spectral route agrees with the series route.
-        w, q = hermitian_eigensystem(h)
-        u_spec = q @ np.diag(np.exp(1j * w)) @ q.conj().T
-        assert max_abs(u - u_spec) < 1e-12
-    assert max_abs(unitary_from_generator(np.zeros((3, 3))) - np.eye(3)) == 0.0
+        count = 3
+        theta = rng.standard_normal((count - 1) * d * d)
+        _, _, us = _decompose_generators(theta, d, count)
+        assert max_abs(us[0] - np.eye(d)) == 0.0
+        for k in range(1, count):
+            assert unitarity_defect(us[k]) < 1e-13
+            # Stacked spectral route agrees with the series route, block by block.
+            h = hermitian_from_params(theta[(k - 1) * d * d : k * d * d], d)
+            assert max_abs(us[k] - taylor_exponential(h)) < 1e-12
+        _, _, us = _decompose_generators(np.zeros(d * d), d, 2)
+        assert max_abs(us[1] - np.eye(d)) == 0.0
+
+
+def test_objective_is_lifted_gram_mass():
+    rng = rng_from(75)
+    for d, count in ((2, 4), (3, 5)):
+        s = random_spectrum(d, rng)
+        theta = rng.standard_normal((count - 1) * d * d)
+        _, _, us = _decompose_generators(theta, d, count)
+        psi = make_schmidt_state(s)
+        lifted = np.array([apply_local(u, psi).coords for u in us])
+        g = lifted.conj() @ lifted.T
+        mass = sum(abs(g[i, j]) ** 2 for i in range(count) for j in range(i + 1, count))
+        assert abs(gram_mass_objective(s, theta, count) - mass) < 1e-12
 
 
 def test_objective_gradient_matches_finite_differences():

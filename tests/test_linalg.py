@@ -140,11 +140,6 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_eigenvalues_reject_oversized_input():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.eye(17))
-
-
 def test_left_right_gram_share_spectrum_4x4():
     rng = rng_from(31)
     y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -165,10 +160,11 @@ def test_left_right_gram_share_spectrum_random():
 
 def test_eigensystem_reconstructs():
     rng = rng_from(33)
-    for n in (2, 5, 16):
+    for n in (2, 5, 16, 25):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = g + g.conj().T
         w, v = hermitian_eigensystem(h)
+        assert np.all(np.diff(w) <= 0.0)
         assert max_abs(v @ np.diag(w) @ v.conj().T - h) < 1e-11
         assert unitarity_defect(v) < 1e-12
 

@@ -257,8 +257,12 @@ def test_simulate_deterministic_given_seed(example_bundle, example_decoder):
     a = simulate(example_bundle, example_decoder, 2, 400, VARIANT_MEASURE, seed=17)
     b = simulate(example_bundle, example_decoder, 2, 400, VARIANT_MEASURE, seed=17)
     assert a == b
-    c = simulate(example_bundle, example_decoder, 2, 400, VARIANT_MEASURE, seed=18)
-    assert a != c
+    # Reports with other seeds also differ in ``seed``; compare the histograms.
+    others = [
+        simulate(example_bundle, example_decoder, 2, 400, VARIANT_MEASURE, seed=s)
+        for s in (18, 19, 20)
+    ]
+    assert any(c.outcome_histogram != a.outcome_histogram for c in others)
 
 
 def test_simulate_rejects_bad_message(example_bundle, example_decoder):
