@@ -20,9 +20,9 @@ from .linalg import (
     as_matrix,
     complete_to_unitary,
     dagger,
-    gram,
     hermitian_eigensystem,
     max_abs,
+    numerical_rank,
 )
 from .states import BipartiteState, apply_local, basis_index, lift
 
@@ -83,14 +83,11 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
 def kraus_rank(channel: QuantumChannel) -> int:
     """Dimension of the span of the vectorized Kraus matrices.
 
-    Gram eigenvalues below ``rank`` tolerance times the largest count as zero.
+    Counted by ``linalg.numerical_rank``.
     """
-    tol = tolerances.get()
     if all(max_abs(k) == 0.0 for k in channel.kraus):
         raise ValueError("kraus_rank: all-zero channel")
-    g = gram([k.reshape(-1) for k in channel.kraus])
-    eigs, _ = hermitian_eigensystem(g)
-    return int(np.sum(eigs > tol.rank * eigs[0]))
+    return numerical_rank([k.reshape(-1) for k in channel.kraus])
 
 
 def lifted_kraus_states(channel: QuantumChannel, psi: BipartiteState) -> list[BipartiteState]:
@@ -247,9 +244,7 @@ def orthogonalize_kraus_pair(
     d = psi.d
     if k0.shape != (d, d) or k1.shape != (d, d):
         raise ValueError("orthogonalize_kraus_pair: operator shapes do not match d")
-    pair_gram = gram([k0.reshape(-1), k1.reshape(-1)])
-    eigs, _ = hermitian_eigensystem(pair_gram)
-    if eigs[-1] <= tol.rank * eigs[0]:
+    if numerical_rank([k0.reshape(-1), k1.reshape(-1)]) < 2:
         raise ValueError("orthogonalize_kraus_pair: Kraus matrices are linearly dependent")
     tp_defect = max_abs(dagger(k0) @ k0 + dagger(k1) @ k1 - np.eye(d))
     if tp_defect > tol.unitarity:

@@ -192,20 +192,22 @@ def _gram_and_jacobian(
     return _pair_overlaps(spectrum, us), jac.reshape(len(i), -1)
 
 
-def _polish(
+def _gauss_newton(
     spectrum: SchmidtSpectrum,
     theta: np.ndarray,
     count: int,
-    max_rounds: int = 25,
+    max_rounds: int = 400,
     target: float = 1e-26,
-) -> tuple[np.ndarray, float]:
-    """Damped Gauss-Newton refinement of a near-solution to certificate accuracy.
+) -> np.ndarray:
+    """Damped Gauss-Newton descent of the Gram mass from a start ``theta``.
 
     The objective is a zero-residual least-squares problem at a solution, so
-    Gauss-Newton converges quadratically where plain descent only crawls.
+    Gauss-Newton converges quadratically near one.  Each round takes the
+    minimum-norm least-squares step, halved up to 12 times until the
+    objective drops; the loop stops at ``target``, when no halving helps, or
+    after ``max_rounds``.
     """
     f = gram_mass_objective(spectrum, theta, count)
-    best_theta, best_f = theta, f
     for _ in range(max_rounds):
         if f <= target:
             break
@@ -214,59 +216,16 @@ def _polish(
         residual = np.concatenate([overlaps.real, overlaps.imag])
         step, *_ = np.linalg.lstsq(system, residual, rcond=None)
         scale = 1.0
-        improved = False
         for _ in range(12):
             cand = theta - scale * step
             f_cand = gram_mass_objective(spectrum, cand, count)
             if f_cand < f:
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
+        else:
             break
         theta, f = cand, f_cand
-        if f < best_f:
-            best_theta, best_f = theta, f
-    return best_theta, best_f
-
-
-def _descend(
-    spectrum: SchmidtSpectrum,
-    theta: np.ndarray,
-    count: int,
-    max_steps: int = 800,
-    target: float = 1e-12,
-) -> tuple[np.ndarray, float]:
-    """Gradient descent with Barzilai-Borwein step sizes and a backtracking guard."""
-    f = gram_mass_objective(spectrum, theta, count)
-    g = gram_mass_gradient(spectrum, theta, count)
-    step = 0.1
-    prev_theta: np.ndarray | None = None
-    prev_g: np.ndarray | None = None
-    for _ in range(max_steps):
-        gnorm2 = float(g @ g)
-        if f <= target or gnorm2 <= 1e-28:
-            break
-        if prev_theta is not None:
-            dt = theta - prev_theta
-            dg = g - prev_g
-            denom = float(dt @ dg)
-            step = float(dt @ dt) / denom if denom > 1e-30 else 1.0
-            step = min(max(step, 1e-8), 1e4)
-        accepted = False
-        for _ in range(50):
-            cand = theta - step * g
-            f_cand = gram_mass_objective(spectrum, cand, count)
-            if f_cand <= f - 1e-4 * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        prev_theta, prev_g = theta, g
-        theta, f = cand, f_cand
-        g = gram_mass_gradient(spectrum, theta, count)
-    return theta, f
+    return theta
 
 
 def search_message_set(
@@ -275,11 +234,11 @@ def search_message_set(
     """Search for ``count`` unitaries whose lifted states are orthonormal.
 
     The first unitary is pinned to the identity (a free gauge); the rest are
-    parametrized as exponentials of Hermitian generators, descended from
-    seeded random starts, and polished by damped Gauss-Newton once descent
-    reaches the attraction basin.  Returns a certified set, or None once the
-    restart budget is exhausted -- existence is not guaranteed away from the
-    maximally entangled point.
+    parametrized as exponentials of Hermitian generators.  Restart ``r``
+    draws its start from ``rng_from(seed, r)`` and runs damped Gauss-Newton
+    on the off-diagonal Gram mass.  Returns the first certified set, or None
+    once the restart budget is exhausted -- existence is not guaranteed away
+    from the maximally entangled point.
     """
     d = spectrum.d
     if count < 1 or count > d * d:
@@ -293,9 +252,7 @@ def search_message_set(
     n_params = (count - 1) * d * d
     for restart in range(max_iters):
         rng = rng_from(seed, restart)
-        theta0 = rng.standard_normal(n_params)
-        theta, _ = _descend(spectrum, theta0, count)
-        theta, _ = _polish(spectrum, theta, count)
+        theta = _gauss_newton(spectrum, rng.standard_normal(n_params), count)
         _, _, us = _decompose_generators(theta, d, count)
         candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
         if certify_distinguishable(candidate, psi).passed:

@@ -156,6 +156,16 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     return w
 
 
+def numerical_rank(vectors: Sequence[np.ndarray]) -> int:
+    """Dimension of the span of a vector collection.
+
+    Gram eigenvalues at or below the ``rank`` tolerance times the largest
+    count as zero.
+    """
+    eigs = hermitian_eigenvalues(gram(vectors))
+    return int(np.sum(eigs > tolerances.get().rank * eigs[0]))
+
+
 def sqrt_psd_diagonal(h: np.ndarray) -> np.ndarray:
     """Elementwise square root of a positive diagonal matrix.
 

@@ -17,7 +17,6 @@ would invalidate everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +87,12 @@ def default_messages(d: int) -> UnitaryMessageSet | None:
     return None
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolBundle:
     spectrum: SchmidtSpectrum
@@ -103,6 +108,8 @@ class ProtocolBundle:
     p1: float                         # final-message abort probability
     p_t: float
     p_y: float
+    lifted: np.ndarray                # (d^2 - 2) x d^2: U_k applied to the shared state
+    branches: np.ndarray              # 3 x d^2: T, Y and C applied to the shared state
     dilation: DilationResult
     seed: int
     defects: dict[str, float] = field(default_factory=dict)
@@ -143,11 +150,16 @@ def build_bundle(
             f"distinguishability certificate fails (defect {cert.gram_defect:g})",
             {"certificate": cert.gram_defect},
         )
+    if cert.gram_defect > tol.unitarity:  # the completion's orthonormality gate
+        raise BundleError(
+            f"certified set is not orthonormal to the {tol.unitarity:g} gate (defect {cert.gram_defect:g})",
+            {"certificate": cert.gram_defect},
+        )
     r = compute_R(spectrum)
     lam = np.asarray(spectrum.lambdas)
 
-    lifted_cols = [apply_local(u, psi).coords for u in messages.unitaries]
-    m = complete_to_unitary(lifted_cols, seed)
+    lifted = _frozen([apply_local(u, psi).coords for u in messages.unitaries])
+    m = complete_to_unitary(lifted, seed)
     v = m[:, -2].copy()
     w = m[:, -1].copy()
 
@@ -173,14 +185,14 @@ def build_bundle(
     overshoot = gamma - d * d * (lam - lam[-1]) / (2.0 * lam)
     defects["gamma_overestimate"] = max(0.0, float(np.max(overshoot)))
 
-    p_t = float(np.linalg.norm(apply_local(t, psi).coords) ** 2)
-    p_y = float(np.linalg.norm(apply_local(y, psi).coords) ** 2)
+    branches = _frozen([apply_local(k, psi).coords for k in (t, y, c)])
+    p_t, p_y, p_c = (float(np.linalg.norm(b) ** 2) for b in branches)
     p1 = float(np.sum(lam * gamma))
     expected_tail = float(lam[-1] / r[-1])
     defects["p_t"] = abs(p_t - expected_tail)
     defects["p_y"] = abs(p_y - expected_tail)
     defects["p_total"] = abs(p_t + p_y + p1 - 1.0)
-    defects["p1_c_branch"] = abs(p1 - float(np.linalg.norm(apply_local(c, psi).coords) ** 2))
+    defects["p1_c_branch"] = abs(p1 - p_c)
 
     gates = {
         "kraus_condition": tol.bundle,
@@ -217,6 +229,8 @@ def build_bundle(
         p1=p1,
         p_t=p_t,
         p_y=p_y,
+        lifted=lifted,
+        branches=branches,
         dilation=dilation,
         seed=seed,
         defects=defects,
@@ -233,8 +247,7 @@ def abort_probability(bundle: ProtocolBundle) -> float:
     tol = tolerances.get()
     lam = np.asarray(bundle.spectrum.lambdas)
     p1 = float(np.sum(lam * bundle.gamma))
-    psi = make_schmidt_state(bundle.spectrum)
-    branch = float(np.linalg.norm(apply_local(bundle.c, psi).coords) ** 2)
+    branch = float(np.linalg.norm(bundle.branches[2]) ** 2)
     closed = 1.0 - 2.0 * lam[-1] / bundle.r[-1]
     if abs(p1 - branch) > tol.equality or abs(p1 - closed) > tol.bundle:
         raise BundleError(
@@ -312,13 +325,8 @@ class Decoder:
 
 def build_decoder(bundle: ProtocolBundle) -> Decoder:
     tol = tolerances.get()
-    psi = make_schmidt_state(bundle.spectrum)
-    projs = []
-    for u in bundle.messages.unitaries:
-        vec = apply_local(u, psi).coords
-        projs.append(np.outer(vec, vec.conj()))
-    t_lift = apply_local(bundle.t, psi).coords
-    y_lift = apply_local(bundle.y, psi).coords
+    projs = [np.outer(vec, vec.conj()) for vec in bundle.lifted]
+    t_lift, y_lift, _ = bundle.branches
     projs.append(
         np.outer(t_lift, t_lift.conj()) / bundle.p_t
         + np.outer(y_lift, y_lift.conj()) / bundle.p_y
@@ -348,34 +356,6 @@ class EncodedMessage:
     ancilla_outcome: int | None
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=32)
-def _encoded_states(bundle: ProtocolBundle):
-    """Per-bundle cache of every deterministic encoding output."""
-    d = bundle.d
-    psi = make_schmidt_state(bundle.spectrum)
-    lifted = tuple(_frozen(apply_local(u, psi).coords) for u in bundle.messages.unitaries)
-    t_branch = apply_local(bundle.t, psi).coords
-    y_branch = apply_local(bundle.y, psi).coords
-    c_branch = apply_local(bundle.c, psi).coords
-    n_anc = 3
-    full = np.zeros(d * d * n_anc, dtype=complex)
-    full[0::n_anc] = t_branch
-    full[1::n_anc] = y_branch
-    full[2::n_anc] = c_branch
-    survived = np.zeros_like(full)
-    if bundle.p1 < 1.0:
-        survived[0::n_anc] = t_branch / np.sqrt(1.0 - bundle.p1)
-        survived[1::n_anc] = y_branch / np.sqrt(1.0 - bundle.p1)
-    aborted = _frozen(c_branch / np.sqrt(bundle.p1)) if bundle.p1 > 0.0 else None
-    return lifted, _frozen(full), _frozen(survived), aborted
-
-
 def _check_message(bundle: ProtocolBundle, index: int, caller: str) -> None:
     last = bundle.n_messages - 1
     if not 0 <= index <= last:
@@ -384,12 +364,15 @@ def _check_message(bundle: ProtocolBundle, index: int, caller: str) -> None:
 
 def _delivered(bundle: ProtocolBundle, index: int, variant: str) -> EncodedMessage:
     """The encoded state of message ``index`` when the encoding does not abort."""
-    lifted, full, survived, _ = _encoded_states(bundle)
     if index < len(bundle.messages):
-        return EncodedMessage(state=lifted[index], ancilla_dim=1, aborted=False, ancilla_outcome=None)
+        return EncodedMessage(state=bundle.lifted[index], ancilla_dim=1, aborted=False, ancilla_outcome=None)
+    # Branch rows transposed give joint x ancilla coordinates, ancilla index fastest.
     if variant == VARIANT_NO_MEASURE:
-        return EncodedMessage(state=full, ancilla_dim=3, aborted=False, ancilla_outcome=None)
-    return EncodedMessage(state=survived, ancilla_dim=3, aborted=False, ancilla_outcome=0)
+        return EncodedMessage(state=bundle.branches.T.reshape(-1), ancilla_dim=3, aborted=False, ancilla_outcome=None)
+    survived = np.zeros_like(bundle.branches)
+    if bundle.p1 < 1.0:
+        survived[:2] = bundle.branches[:2] / np.sqrt(1.0 - bundle.p1)
+    return EncodedMessage(state=survived.T.reshape(-1), ancilla_dim=3, aborted=False, ancilla_outcome=0)
 
 
 def encode_message(
@@ -403,10 +386,10 @@ def encode_message(
     """
     variant = normalize_variant(variant)
     _check_message(bundle, index, "encode_message")
-    if index == len(bundle.messages) and variant == VARIANT_MEASURE:
-        aborted = _encoded_states(bundle)[3]
-        if aborted is not None and float(rng.random()) < bundle.p1:
-            return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
+    measured = index == len(bundle.messages) and variant == VARIANT_MEASURE
+    if measured and bundle.p1 > 0.0 and float(rng.random()) < bundle.p1:
+        aborted = bundle.branches[2] / np.sqrt(bundle.p1)
+        return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
     return _delivered(bundle, index, variant)
 
 

@@ -26,7 +26,7 @@ from .channels import (
     support_containment_check,
     trace_out_ancilla_state,
 )
-from .linalg import gram, hermitian_eigensystem, max_abs, rng_from
+from .linalg import hermitian_eigensystem, max_abs, numerical_rank, rng_from
 from .states import SchmidtSpectrum, apply_local, make_schmidt_state
 
 
@@ -162,10 +162,7 @@ def independence_suite(seed: int, configs: int = 100) -> SuiteReport:
         spectrum = random_spectrum(d, rng)
         psi = make_schmidt_state(spectrum)
         lifted = lifted_kraus_states(channel, psi)
-        g = gram([s.coords for s in lifted])
-        eigs, _ = hermitian_eigensystem(g)
-        rank = int(np.sum(eigs > tolerances.get().rank * eigs[0]))
-        if rank != size:
+        if numerical_rank([s.coords for s in lifted]) != size:
             mismatches += 1
     return SuiteReport(
         suite="independence",

@@ -9,6 +9,8 @@ LAPACK and take no tolerance of their own.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
 
@@ -40,14 +42,13 @@ def get() -> Tolerances:
     return _active
 
 
-def set_active(tol: Tolerances) -> None:
-    """Install ``tol`` as the active tolerance set (used by the CLI)."""
+@contextmanager
+def using(**kwargs: float) -> Iterator[None]:
+    """Activate the named overrides for the ``with`` block, then restore the previous set."""
     global _active
-    _active = tol
-
-
-def override(**kwargs: float) -> Tolerances:
-    """Replace named tolerances on the active set and install the result."""
-    tol = replace(_active, **kwargs)
-    set_active(tol)
-    return tol
+    previous = _active
+    _active = replace(previous, **kwargs)
+    try:
+        yield
+    finally:
+        _active = previous

@@ -154,11 +154,9 @@ def test_tolerance_override_flag(capsys):
     import densecode.tolerances as tolerances
 
     before = tolerances.get()
-    try:
-        code, _, err = run(capsys, "--tol-equality", "1e-30", "example-d2")
-        assert code == 1  # nothing is exact to 1e-30
-    finally:
-        tolerances.set_active(before)
+    code, _, err = run(capsys, "--tol-equality", "1e-30", "example-d2")
+    assert code == 1  # nothing is exact to 1e-30
+    assert tolerances.get() == before
     code, _, err = run(capsys, "--tol-nonsense", "1", "example-d2")
     assert code == 1
     assert "unknown tolerance" in json.loads(err)["error"]
@@ -168,12 +166,9 @@ def test_tolerance_override_is_scoped_to_one_call(capsys):
     import densecode.tolerances as tolerances
 
     before = tolerances.get()
-    try:
-        code, _, _ = run(capsys, "--tol-equality", "1e-30", "example-d2")
-        assert code == 1
-        assert tolerances.get() == before
-        with pytest.raises(SystemExit):
-            main(["--tol-equality", "1e-30", "--help"])
-        assert tolerances.get() == before
-    finally:
-        tolerances.set_active(before)
+    code, _, _ = run(capsys, "--tol-equality", "1e-30", "example-d2")
+    assert code == 1
+    assert tolerances.get() == before
+    with pytest.raises(SystemExit):
+        main(["--tol-equality", "1e-30", "--help"])
+    assert tolerances.get() == before

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densecode import tolerances
+from densecode.channels import apply_dilation
+from densecode.encoding import UnitaryMessageSet, certify_distinguishable, weyl_set
 from densecode.linalg import max_abs, rng_from
 from densecode.protocol import (
     SIM_CHUNK,
@@ -81,6 +84,19 @@ def test_bundle_rejects_indistinguishable_messages(example_spectrum):
     eye = np.eye(2, dtype=complex)
     with pytest.raises(BundleError):
         build_bundle(example_spectrum, UnitaryMessageSet(d=2, unitaries=(eye, eye)), seed=SEED)
+
+
+def test_bundle_names_certified_set_below_unitarity_gate(example_spectrum):
+    # (I, X R(4e-8)) has Gram defect 5e-10: it passes the 1e-9 certificate but
+    # not the 1e-10 orthonormality that the unitary completion needs.
+    a = 4e-8
+    rotation = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    messages = UnitaryMessageSet(d=2, unitaries=(np.eye(2), weyl_set(2).unitaries[1] @ rotation))
+    cert = certify_distinguishable(messages, make_schmidt_state(example_spectrum))
+    assert cert.passed and cert.gram_defect > tolerances.get().unitarity
+    with pytest.raises(BundleError, match="1e-10 gate") as err:
+        build_bundle(example_spectrum, messages, seed=SEED)
+    assert err.value.defects == {"certificate": cert.gram_defect}
 
 
 def test_bundle_branch_plane_matches_example(example_bundle):
@@ -329,6 +345,24 @@ def test_simulate_abort_frequency_property(lam0, trials, seed):
     if var >= 100:
         others = [simulate(bundle, decoder, 2, trials, VARIANT_MEASURE, seed=seed + k) for k in (1, 2, 3)]
         assert any(o.outcome_histogram != report.outcome_histogram for o in others)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(lam0=st.floats(min_value=0.5, max_value=1.0 - 1e-9))
+def test_bundle_states_property(lam0):
+    spectrum = SchmidtSpectrum.from_values([lam0, 1.0 - lam0])
+    bundle = build_bundle(spectrum, default_messages(2), seed=SEED)
+    decoder = build_decoder(bundle)
+    eq = tolerances.get().equality
+    assert max_abs(sum(decoder.projectors) - np.eye(4)) <= eq
+    final = encode_message(bundle, 2, VARIANT_NO_MEASURE, None)
+    dilated = apply_dilation(bundle.dilation, make_schmidt_state(spectrum))
+    assert max_abs(final.state - dilated) <= eq
+    for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
+        for index in range(bundle.n_messages):
+            encoded = encode_message(bundle, index, variant, rng_from(SEED, index))
+            assert bob_distribution(decoder, encoded)[-1] <= eq
+    abort_probability(bundle)
 
 
 def test_simulate_accepts_cli_variant_names(example_bundle, example_decoder):
