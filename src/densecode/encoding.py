@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,19 +97,36 @@ def weyl_set(d: int) -> UnitaryMessageSet:
 # Numerical search for message sets
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle of n x n."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     """Hermitian matrix from d^2 real parameters (diagonal, then re/im pairs).
 
     A ``(..., d^2)`` stack of parameter blocks gives a ``(..., d, d)`` stack.
     """
     theta = np.asarray(theta, dtype=float)
-    rows, cols = np.triu_indices(d, 1)
+    rows, cols = _upper_pairs(d)
     h = np.zeros(theta.shape[:-1] + (d, d), dtype=complex)
     h[..., np.arange(d), np.arange(d)] = theta[..., :d]
     upper = theta[..., d::2] + 1j * theta[..., d + 1 :: 2]
     h[..., rows, cols] = upper
     h[..., cols, rows] = upper.conj()
     return h
+
+
+@lru_cache(maxsize=None)
+def _generator_basis(d: int) -> np.ndarray:
+    """Read-only dH/dtheta: the Hermitian matrix of each of the d^2 parameters."""
+    basis = hermitian_from_params(np.eye(d * d), d)
+    basis.setflags(write=False)
+    return basis
 
 
 def _phi_matrix(eigs: np.ndarray) -> np.ndarray:
@@ -119,31 +137,41 @@ def _phi_matrix(eigs: np.ndarray) -> np.ndarray:
 
 
 def _decompose_generators(theta: np.ndarray, d: int, count: int):
-    """Eigenvectors, derivative kernels and unitaries for every message.
+    """Eigenvalues, eigenvectors and unitaries for every message.
 
-    The ``count - 1`` free generators go through one stacked eigensolve;
-    ``us[0]`` is the pinned identity and ``us[k] = exp(i H_k)`` for k >= 1,
-    whose eigendata sit at index ``k - 1`` of the returned ``q`` and ``phi``.
+    ``theta`` holds the ``(count - 1) d^2`` generator parameters, or a
+    ``(..., (count - 1) d^2)`` stack of such points; every free generator of
+    the stack goes through one eigensolve.  ``us[..., 0, :, :]`` is the
+    pinned identity and ``us[..., k, :, :] = exp(i H_k)`` for k >= 1, whose
+    eigendata sit at index ``k - 1`` of the returned ``w`` and ``q``.
+    LAPACK solves each matrix of a stack on its own, so row ``r`` of a
+    stack gives bit for bit what ``theta[r]`` gives alone.
     """
-    h = hermitian_from_params(np.reshape(theta, (count - 1, d * d)), d)
+    theta = np.asarray(theta, dtype=float)
+    h = hermitian_from_params(np.reshape(theta, theta.shape[:-1] + (count - 1, d * d)), d)
     w, q = np.linalg.eigh(h)
-    us = np.empty((count, d, d), dtype=complex)
-    us[0] = np.eye(d)
-    us[1:] = (q * np.exp(1j * w)[:, None, :]) @ dagger(q)
-    return q, _phi_matrix(w), us
+    us = np.empty(theta.shape[:-1] + (count, d, d), dtype=complex)
+    us[..., 0, :, :] = np.eye(d)
+    us[..., 1:, :, :] = (q * np.exp(1j * w)[..., None, :]) @ dagger(q)
+    return w, q, us
 
 
 def _pair_overlaps(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
     """Lifted-state overlaps <U_i psi|U_j psi> for every pair i < j, in row order."""
     lam = np.asarray(spectrum.lambdas)
     g = np.einsum("a,iba,jba->ij", lam, us.conj(), us)
-    return g[np.triu_indices(len(us), 1)]
+    return g[_upper_pairs(len(us))]
+
+
+def _gram_mass(spectrum: SchmidtSpectrum, us: np.ndarray) -> float:
+    """Sum of squared off-diagonal lifted-state overlaps of one message set."""
+    return float(np.sum(np.abs(_pair_overlaps(spectrum, us)) ** 2))
 
 
 def gram_mass_objective(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> float:
     """Sum of squared off-diagonal lifted-state overlaps; zero at perfect distinguishability."""
     _, _, us = _decompose_generators(theta, spectrum.d, count)
-    return float(np.sum(np.abs(_pair_overlaps(spectrum, us)) ** 2))
+    return _gram_mass(spectrum, us)
 
 
 def gram_mass_gradient(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> np.ndarray:
@@ -151,7 +179,8 @@ def gram_mass_gradient(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int)
 
     ``o`` holds the pair overlaps and ``J`` their Jacobian.
     """
-    overlaps, jac = _gram_and_jacobian(spectrum, theta, count)
+    point = _decompose_generators(theta, spectrum.d, count)
+    overlaps, jac = _gram_and_jacobian(spectrum, point)
     return 2.0 * np.real(dagger(jac) @ overlaps)
 
 
@@ -170,14 +199,18 @@ def _trace_derivative(
 
 
 def _gram_and_jacobian(
-    spectrum: SchmidtSpectrum, theta: np.ndarray, count: int
+    spectrum: SchmidtSpectrum, point: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal lifted overlaps and their Jacobian in the generator parameters."""
-    d = spectrum.d
+    """Off-diagonal lifted overlaps and their Jacobian in the generator parameters.
+
+    ``point`` is one unstacked ``_decompose_generators`` result ``(w, q, us)``.
+    """
+    w, q, us = point
+    count, d = len(us), spectrum.d
     lam = np.asarray(spectrum.lambdas)
-    q, phi, us = _decompose_generators(theta, d, count)
-    basis = hermitian_from_params(np.eye(d * d), d)
-    i, j = np.triu_indices(count, 1)
+    phi = _phi_matrix(w)
+    basis = _generator_basis(d)
+    i, j = _upper_pairs(count)
     pairs = np.arange(len(i))
     jac = np.zeros((len(i), count - 1, d * d), dtype=complex)
     # Overlap (i, j) is tr(D U_i^dag U_j): U_j enters on the right ...
@@ -192,40 +225,49 @@ def _gram_and_jacobian(
     return _pair_overlaps(spectrum, us), jac.reshape(len(i), -1)
 
 
+_HALVINGS = 0.5 ** np.arange(12)  # line-search step scales 1, 1/2, ..., 1/2^11
+
+
 def _gauss_newton(
     spectrum: SchmidtSpectrum,
     theta: np.ndarray,
     count: int,
     max_rounds: int = 400,
     target: float = 1e-26,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Damped Gauss-Newton descent of the Gram mass from a start ``theta``.
 
     The objective is a zero-residual least-squares problem at a solution, so
     Gauss-Newton converges quadratically near one.  Each round takes the
-    minimum-norm least-squares step, halved up to 12 times until the
-    objective drops; the loop stops at ``target``, when no halving helps, or
-    after ``max_rounds``.
+    minimum-norm least-squares step and accepts the first of its 12 halvings
+    (scales 1 down to 2^-11) that lowers the objective; the loop stops at
+    ``target``, when no halving helps, or after ``max_rounds``.  A round
+    decomposes all 12 candidates in one stacked ``_decompose_generators``
+    call and scores them in order, one set at a time, so the path matches
+    scoring each halving on its own bit for bit.  Returns the final
+    ``theta`` and its decomposition ``(w, q, us)``; the accepted
+    candidate's decomposition feeds the next round's Jacobian.
     """
-    f = gram_mass_objective(spectrum, theta, count)
+    d = spectrum.d
+    point = _decompose_generators(theta, d, count)
+    f = _gram_mass(spectrum, point[2])
     for _ in range(max_rounds):
         if f <= target:
             break
-        overlaps, jac = _gram_and_jacobian(spectrum, theta, count)
+        overlaps, jac = _gram_and_jacobian(spectrum, point)
         system = np.vstack([jac.real, jac.imag])
         residual = np.concatenate([overlaps.real, overlaps.imag])
         step, *_ = np.linalg.lstsq(system, residual, rcond=None)
-        scale = 1.0
-        for _ in range(12):
-            cand = theta - scale * step
-            f_cand = gram_mass_objective(spectrum, cand, count)
+        cands = theta - _HALVINGS[:, None] * step
+        w, q, us = _decompose_generators(cands, d, count)
+        for k in range(len(cands)):
+            f_cand = _gram_mass(spectrum, us[k])
             if f_cand < f:
                 break
-            scale *= 0.5
         else:
             break
-        theta, f = cand, f_cand
-    return theta
+        theta, f, point = cands[k], f_cand, (w[k], q[k], us[k])
+    return theta, point
 
 
 def search_message_set(
@@ -237,12 +279,14 @@ def search_message_set(
     parametrized as exponentials of Hermitian generators.  Restart ``r``
     draws its start from ``rng_from(seed, r)`` and runs damped Gauss-Newton
     on the off-diagonal Gram mass.  Returns the first certified set, or None
-    once the restart budget is exhausted -- existence is not guaranteed away
-    from the maximally entangled point.
+    once the ``max_iters`` restarts (at least one) are exhausted -- existence
+    is not guaranteed away from the maximally entangled point.
     """
     d = spectrum.d
     if count < 1 or count > d * d:
         raise ValueError("search_message_set: count must be between 1 and d^2")
+    if max_iters < 1:
+        raise ValueError("search_message_set: max_iters must be positive")
     if not capacity_bound_check(spectrum, count):
         raise ValueError("search_message_set: spectrum violates the capacity bound for count")
     eye = np.eye(d, dtype=complex)
@@ -252,8 +296,7 @@ def search_message_set(
     n_params = (count - 1) * d * d
     for restart in range(max_iters):
         rng = rng_from(seed, restart)
-        theta = _gauss_newton(spectrum, rng.standard_normal(n_params), count)
-        _, _, us = _decompose_generators(theta, d, count)
+        _, (_, _, us) = _gauss_newton(spectrum, rng.standard_normal(n_params), count)
         candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
         if certify_distinguishable(candidate, psi).passed:
             return candidate

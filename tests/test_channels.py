@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from densecode import tolerances
 from densecode.channels import (
     QuantumChannel,
     apply_channel,
@@ -170,6 +172,45 @@ def test_dilation_matches_operator_sum(example_spectrum):
     dil = dilation_unitary(ch, seed=6)
     reduced = trace_out_ancilla_state(apply_dilation(dil, psi), dil.ancilla_dim)
     assert max_abs(reduced - apply_channel(ch, psi.density())) < 1e-12
+
+
+# One channel draw: dimension, Kraus count, channel and completion seeds, and
+# Schmidt weights (the first d are used, normalized).
+channel_cases = dict(
+    d=st.sampled_from((2, 3, 4)),
+    channel_seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    weights=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=4, max_size=4),
+)
+
+
+def spectrum_from_weights(weights, d):
+    w = np.asarray(weights[:d])
+    return SchmidtSpectrum.from_values(w / w.sum())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n_kraus=st.integers(min_value=1, max_value=3),
+    dilation_seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    **channel_cases,
+)
+def test_dilation_then_trace_is_channel_property(d, n_kraus, channel_seed, dilation_seed, weights):
+    psi = make_schmidt_state(spectrum_from_weights(weights, d))
+    ch = random_trace_preserving_channel(d, n_kraus, seed=channel_seed)
+    dil = dilation_unitary(ch, seed=dilation_seed)
+    reduced = trace_out_ancilla_state(apply_dilation(dil, psi), dil.ancilla_dim)
+    assert max_abs(reduced - apply_channel(ch, psi.density())) <= tolerances.get().equality
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(**channel_cases)
+def test_orthogonalization_keeps_channel_property(d, channel_seed, weights):
+    psi = make_schmidt_state(spectrum_from_weights(weights, d))
+    ch = random_trace_preserving_channel(d, 2, seed=channel_seed)
+    _, r0, r1 = orthogonalize_kraus_pair(*ch.kraus, psi)
+    rho = psi.density()
+    after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
+    assert max_abs(after - apply_channel(ch, rho)) <= tolerances.get().equality
 
 
 def test_dilation_basis_action():

@@ -121,6 +121,15 @@ def test_bounds_rejects_out_of_range(capsys):
     assert "outside" in json.loads(err)["error"]
 
 
+def test_search_rejects_negative_restart_budget(capsys):
+    code, out, err = run(
+        capsys, "search", "--spectrum", "0.35,0.33,0.32", "--count", "3", "--max-iters", "-3"
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "search_message_set: max_iters must be positive"
+
+
 def test_search_then_bundle(tmp_path, capsys):
     path = tmp_path / "messages.json"
     code, _, _ = run(

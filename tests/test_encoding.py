@@ -15,7 +15,7 @@ from densecode.encoding import (
     search_message_set,
     weyl_set,
 )
-from densecode.encoding import _decompose_generators
+from densecode.encoding import _decompose_generators, _gauss_newton, _gram_and_jacobian
 from densecode.linalg import max_abs, rng_from, unitarity_defect
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 from densecode.suites import random_spectrum
@@ -166,23 +166,85 @@ def test_objective_gradient_matches_finite_differences():
 
 
 def test_pair_jacobian_matches_finite_differences():
-    from densecode.encoding import _gram_and_jacobian
-
     rng = rng_from(76)
     s = SchmidtSpectrum.from_values([0.4, 0.35, 0.25])
     count = 4
     n = (count - 1) * 9
     theta = rng.standard_normal(n)
-    _, jac = _gram_and_jacobian(s, theta, count)
+
+    def at(t):
+        return _gram_and_jacobian(s, _decompose_generators(t, 3, count))
+
+    _, jac = at(theta)
     h = 1e-6
     for a in range(0, n, 5):
         up, down = theta.copy(), theta.copy()
         up[a] += h
         down[a] -= h
-        fd = (_gram_and_jacobian(s, up, count)[0] - _gram_and_jacobian(s, down, count)[0]) / (
-            2 * h
-        )
+        fd = (at(up)[0] - at(down)[0]) / (2 * h)
         assert np.max(np.abs(fd - jac[:, a])) < 1e-7
+
+
+def test_stacked_decomposition_matches_each_row():
+    rng = rng_from(77)
+    for d, count in ((2, 3), (3, 7), (4, 5)):
+        stack = rng.standard_normal((12, (count - 1) * d * d))
+        stacked = _decompose_generators(stack, d, count)
+        assert stacked[2].shape == (12, count, d, d)
+        for r, row in enumerate(stack):
+            for whole, alone in zip(stacked, _decompose_generators(row, d, count)):
+                assert np.array_equal(whole[r], alone)
+
+
+def sequential_gauss_newton(
+    spectrum: SchmidtSpectrum,
+    theta: np.ndarray,
+    count: int,
+    max_rounds: int = 400,
+    target: float = 1e-26,
+) -> np.ndarray:
+    """Reference damped Gauss-Newton that scores each halving with its own objective call."""
+    f = gram_mass_objective(spectrum, theta, count)
+    for _ in range(max_rounds):
+        if f <= target:
+            break
+        overlaps, jac = _gram_and_jacobian(
+            spectrum, _decompose_generators(theta, spectrum.d, count)
+        )
+        system = np.vstack([jac.real, jac.imag])
+        residual = np.concatenate([overlaps.real, overlaps.imag])
+        step, *_ = np.linalg.lstsq(system, residual, rcond=None)
+        scale = 1.0
+        for _ in range(12):
+            cand = theta - scale * step
+            f_cand = gram_mass_objective(spectrum, cand, count)
+            if f_cand < f:
+                break
+            scale *= 0.5
+        else:
+            break
+        theta, f = cand, f_cand
+    return theta
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [
+        ([0.6, 0.4], 2),
+        ([0.6, 0.4], 3),  # stalls: no halving lowers the objective
+        ([0.35, 0.33, 0.32], 3),
+        ([0.35, 0.33, 0.32], 7),  # most rounds accept only after halvings
+        ([0.26, 0.25, 0.25, 0.24], 5),
+    ],
+)
+def test_gauss_newton_matches_sequential_line_search(values, count):
+    s = SchmidtSpectrum.from_values(values)
+    for seed in (1, 2):
+        start = rng_from(seed).standard_normal((count - 1) * s.d * s.d)
+        theta, point = _gauss_newton(s, start, count)
+        assert np.array_equal(theta, sequential_gauss_newton(s, start, count))
+        for got, fresh in zip(point, _decompose_generators(theta, s.d, count)):
+            assert np.array_equal(got, fresh)
 
 
 def test_search_single_message():
@@ -209,6 +271,13 @@ def test_search_full_set_maximally_entangled():
 def test_search_rejects_capacity_violation():
     with pytest.raises(ValueError):
         search_message_set(SchmidtSpectrum.from_values([0.9, 0.1]), 3, seed=1)
+
+
+def test_search_rejects_restart_budget_below_one(example_spectrum):
+    for count in (1, 2):
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters must be positive"):
+                search_message_set(example_spectrum, count, seed=7, max_iters=max_iters)
 
 
 def test_message_set_json_round_trip(example_spectrum):
