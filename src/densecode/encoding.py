@@ -4,8 +4,9 @@ A message set is distinguishable on a shared state when the lifted states
 (one per encoding unitary) are orthonormal; the certificate records the
 worst Gram defect.  The shift/clock family supplies the standard full-size
 set for maximally entangled states, and a seeded numerical search looks for
-sets at other spectra by minimizing the off-diagonal Gram mass over
-matrix-exponential parametrized unitaries.
+sets at other spectra by Levenberg-Marquardt descent of the off-diagonal
+Gram mass over matrix-exponential parametrized unitaries, giving up on a
+restart once it stops making progress.
 """
 
 from __future__ import annotations
@@ -225,48 +226,69 @@ def _gram_and_jacobian(
     return _pair_overlaps(spectrum, us), jac.reshape(len(i), -1)
 
 
-_HALVINGS = 0.5 ** np.arange(12)  # line-search step scales 1, 1/2, ..., 1/2^11
+_STALL_WINDOW = 30  # trial steps over which a restart must make progress
+_STALL_DROP = 0.1  # the least fraction of the Gram mass it must shed over them
 
 
-def _gauss_newton(
+def _levenberg_marquardt(
     spectrum: SchmidtSpectrum,
     theta: np.ndarray,
     count: int,
-    max_rounds: int = 400,
+    max_steps: int = 400,
     target: float = 1e-26,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Damped Gauss-Newton descent of the Gram mass from a start ``theta``.
+    """Levenberg-Marquardt descent of the Gram mass from a start ``theta``.
 
-    The objective is a zero-residual least-squares problem at a solution, so
-    Gauss-Newton converges quadratically near one.  Each round takes the
-    minimum-norm least-squares step and accepts the first of its 12 halvings
-    (scales 1 down to 2^-11) that lowers the objective; the loop stops at
-    ``target``, when no halving helps, or after ``max_rounds``.  A round
-    decomposes all 12 candidates in one stacked ``_decompose_generators``
-    call and scores them in order, one set at a time, so the path matches
-    scoring each halving on its own bit for bit.  Returns the final
-    ``theta`` and its decomposition ``(w, q, us)``; the accepted
-    candidate's decomposition feeds the next round's Jacobian.
+    The mass is ``|r|^2`` for the stacked residual ``r = [Re o; Im o]`` of
+    the pair overlaps, with Jacobian ``A = [Re J; Im J]``.  ``A`` has no
+    more rows than columns (count <= d^2), so each trial step solves the
+    small dual system: ``s = A^T (A A^T + mu I)^-1 r``.  A step that
+    lowers the mass is accepted and ``mu`` shrinks by Nielsen's rule
+    ``max(1/3, 1 - (2 rho - 1)^3)``, ``rho`` being the achieved over the
+    predicted drop; a rejected step multiplies ``mu`` by ``nu``, which then
+    doubles.  The Jacobian is recomputed only after an accepted step.  The
+    loop stops at ``target``, once the mass has fallen by less than
+    ``_STALL_DROP`` of itself over the last ``_STALL_WINDOW`` trial steps
+    (a restart stuck above zero, as when no set of ``count`` exists), or
+    after ``max_steps`` trial steps.  Returns the final ``theta`` and its
+    decomposition ``(w, q, us)``.
     """
     d = spectrum.d
     point = _decompose_generators(theta, d, count)
     f = _gram_mass(spectrum, point[2])
-    for _ in range(max_rounds):
+    history = [f]  # the mass after each trial step
+    mu, nu, fresh = None, 2.0, True
+    for _ in range(max_steps):
         if f <= target:
             break
-        overlaps, jac = _gram_and_jacobian(spectrum, point)
-        system = np.vstack([jac.real, jac.imag])
-        residual = np.concatenate([overlaps.real, overlaps.imag])
-        step, *_ = np.linalg.lstsq(system, residual, rcond=None)
-        cands = theta - _HALVINGS[:, None] * step
-        w, q, us = _decompose_generators(cands, d, count)
-        for k in range(len(cands)):
-            f_cand = _gram_mass(spectrum, us[k])
-            if f_cand < f:
-                break
-        else:
+        if len(history) > _STALL_WINDOW and f > (1.0 - _STALL_DROP) * history[-_STALL_WINDOW - 1]:
             break
-        theta, f, point = cands[k], f_cand, (w[k], q[k], us[k])
+        if fresh:
+            overlaps, jac = _gram_and_jacobian(spectrum, point)
+            system = np.vstack([jac.real, jac.imag])
+            residual = np.concatenate([overlaps.real, overlaps.imag])
+            normal = system @ system.T
+            if mu is None:
+                mu = 1e-3 * float(np.max(np.diag(normal)))
+        dual = np.linalg.solve(normal + mu * np.eye(len(residual)), residual)
+        step = system.T @ dual
+        cand = theta - step
+        cand_point = _decompose_generators(cand, d, count)
+        f_cand = _gram_mass(spectrum, cand_point[2])
+        # The linear model's drop |r|^2 - |r - A s|^2, written as a sum of
+        # non-negative terms: the difference form cancels to zero once mu
+        # dominates A A^T.
+        predicted = float(np.sum((normal @ dual) ** 2) + 2.0 * mu * (step @ step))
+        fresh = f_cand < f
+        if fresh:
+            rho = (f - f_cand) / predicted
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            theta, f, point = cand, f_cand, cand_point
+        else:
+            mu *= nu
+            nu *= 2.0
+        history.append(f)
     return theta, point
 
 
@@ -277,10 +299,12 @@ def search_message_set(
 
     The first unitary is pinned to the identity (a free gauge); the rest are
     parametrized as exponentials of Hermitian generators.  Restart ``r``
-    draws its start from ``rng_from(seed, r)`` and runs damped Gauss-Newton
-    on the off-diagonal Gram mass.  Returns the first certified set, or None
-    once the ``max_iters`` restarts (at least one) are exhausted -- existence
-    is not guaranteed away from the maximally entangled point.
+    draws its start from ``rng_from(seed, r)`` and runs Levenberg-Marquardt
+    on the off-diagonal Gram mass until the mass is negligible or stops
+    falling.  Returns the first certified set, or None once the
+    ``max_iters`` restarts (at least one) are exhausted -- existence is not
+    guaranteed away from the maximally entangled point, and ``d^2 - 1``
+    messages never exist there.
     """
     d = spectrum.d
     if count < 1 or count > d * d:
@@ -296,7 +320,7 @@ def search_message_set(
     n_params = (count - 1) * d * d
     for restart in range(max_iters):
         rng = rng_from(seed, restart)
-        _, (_, _, us) = _gauss_newton(spectrum, rng.standard_normal(n_params), count)
+        _, (_, _, us) = _levenberg_marquardt(spectrum, rng.standard_normal(n_params), count)
         candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
         if certify_distinguishable(candidate, psi).passed:
             return candidate

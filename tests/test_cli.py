@@ -130,6 +130,19 @@ def test_search_rejects_negative_restart_budget(capsys):
     assert json.loads(err)["error"] == "search_message_set: max_iters must be positive"
 
 
+def test_search_fails_for_d2_minus_1_messages(capsys):
+    # No 8 unitary messages are distinguishable on this qutrit state; every
+    # restart ends on the search's progress rule.
+    code, out, err = run(capsys, "search", "--spectrum", "0.35,0.33,0.32", "--count", "8")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "no certified message set of size 8 found after 20 restarts",
+        "kind": "error",
+        "schema": "densecode/1",
+    }
+
+
 def test_search_then_bundle(tmp_path, capsys):
     path = tmp_path / "messages.json"
     code, _, _ = run(

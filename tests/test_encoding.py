@@ -15,7 +15,8 @@ from densecode.encoding import (
     search_message_set,
     weyl_set,
 )
-from densecode.encoding import _decompose_generators, _gauss_newton, _gram_and_jacobian
+from densecode import encoding
+from densecode.encoding import _decompose_generators, _gram_and_jacobian, _levenberg_marquardt
 from densecode.linalg import max_abs, rng_from, unitarity_defect
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 from densecode.suites import random_spectrum
@@ -196,55 +197,58 @@ def test_stacked_decomposition_matches_each_row():
                 assert np.array_equal(whole[r], alone)
 
 
-def sequential_gauss_newton(
-    spectrum: SchmidtSpectrum,
-    theta: np.ndarray,
-    count: int,
-    max_rounds: int = 400,
-    target: float = 1e-26,
-) -> np.ndarray:
-    """Reference damped Gauss-Newton that scores each halving with its own objective call."""
-    f = gram_mass_objective(spectrum, theta, count)
-    for _ in range(max_rounds):
-        if f <= target:
-            break
-        overlaps, jac = _gram_and_jacobian(
-            spectrum, _decompose_generators(theta, spectrum.d, count)
-        )
-        system = np.vstack([jac.real, jac.imag])
-        residual = np.concatenate([overlaps.real, overlaps.imag])
-        step, *_ = np.linalg.lstsq(system, residual, rcond=None)
-        scale = 1.0
-        for _ in range(12):
-            cand = theta - scale * step
-            f_cand = gram_mass_objective(spectrum, cand, count)
-            if f_cand < f:
-                break
-            scale *= 0.5
-        else:
-            break
-        theta, f = cand, f_cand
-    return theta
-
-
 @pytest.mark.parametrize(
     "values, count",
     [
         ([0.6, 0.4], 2),
-        ([0.6, 0.4], 3),  # stalls: no halving lowers the objective
+        ([0.6, 0.4], 3),  # d^2 - 1 messages: ends on the progress rule
         ([0.35, 0.33, 0.32], 3),
-        ([0.35, 0.33, 0.32], 7),  # most rounds accept only after halvings
+        ([0.35, 0.33, 0.32], 7),
         ([0.26, 0.25, 0.25, 0.24], 5),
     ],
 )
-def test_gauss_newton_matches_sequential_line_search(values, count):
+def test_levenberg_marquardt_returns_its_point_and_never_raises_mass(values, count):
     s = SchmidtSpectrum.from_values(values)
     for seed in (1, 2):
         start = rng_from(seed).standard_normal((count - 1) * s.d * s.d)
-        theta, point = _gauss_newton(s, start, count)
-        assert np.array_equal(theta, sequential_gauss_newton(s, start, count))
+        theta, point = _levenberg_marquardt(s, start, count)
         for got, fresh in zip(point, _decompose_generators(theta, s.d, count)):
             assert np.array_equal(got, fresh)
+        assert gram_mass_objective(s, theta, count) <= gram_mass_objective(s, start, count)
+
+
+def test_levenberg_marquardt_predicted_drop_does_not_cancel():
+    # A d=3, count-7 start on which the difference form |r|^2 - mu^2 |y|^2
+    # of the model's predicted drop rounds below zero and then to zero.
+    s = SchmidtSpectrum.from_values([0.4061792065158033, 0.31466166892217395, 0.27915912456202274])
+    start = rng_from(1645176546945092850, 0).standard_normal(6 * 9)
+    theta, _ = _levenberg_marquardt(s, start, 7)
+    assert gram_mass_objective(s, theta, 7) <= gram_mass_objective(s, start, 7)
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [([0.6, 0.4], 3), ([0.35, 0.33, 0.32], 8), ([0.26, 0.25, 0.25, 0.24], 15)],
+)
+def test_restart_with_d2_minus_1_messages_stops_on_progress_rule(values, count, monkeypatch):
+    # Off the maximally entangled point no d^2 - 1 unitary messages are
+    # perfectly distinguishable (Ji et al., PRA 73, 034307), so a restart can
+    # only stall; the progress rule must end it well under its 400-step cap.
+    s = SchmidtSpectrum.from_values(values)
+    psi = make_schmidt_state(s)
+    calls = []
+
+    def counted(theta, d, count):
+        calls.append(1)
+        return _decompose_generators(theta, d, count)
+
+    monkeypatch.setattr(encoding, "_decompose_generators", counted)
+    for seed in (1, 2):
+        calls.clear()
+        start = rng_from(seed, 0).standard_normal((count - 1) * s.d * s.d)
+        _, (_, _, us) = _levenberg_marquardt(s, start, count)
+        assert len(calls) <= 100
+        assert not certify_distinguishable(UnitaryMessageSet(d=s.d, unitaries=tuple(us)), psi).passed
 
 
 def test_search_single_message():

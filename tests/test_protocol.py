@@ -397,6 +397,23 @@ def test_d3_bundle_end_to_end():
     assert rep_final.outcome_histogram["7"] == 3000 - rep_final.outcome_histogram["aborted"]
 
 
+def test_d4_bundle_from_searched_set():
+    from densecode.encoding import search_message_set
+
+    s = SchmidtSpectrum.from_values([0.28, 0.26, 0.24, 0.22])
+    messages = search_message_set(s, 14, seed=2)
+    assert messages is not None
+    bundle = build_bundle(s, messages, seed=SEED)
+    eq = tolerances.get().equality
+    closed = 1.0 - 2.0 * s.lambdas[-1] / compute_R(s)[-1]
+    assert abs(closed - 12 / 23) <= eq
+    assert abs(bundle.p1 - closed) <= eq
+
+    decoder = build_decoder(bundle)
+    assert len(decoder.projectors) == 15
+    assert max_abs(sum(decoder.projectors) - np.eye(16)) <= eq
+
+
 def test_bundle_json_shape(example_bundle):
     doc = bundle_to_json(example_bundle)
     assert doc["schema"] == "densecode/1"
