@@ -23,8 +23,9 @@ from .linalg import (
     hermitian_eigensystem,
     max_abs,
     numerical_rank,
+    random_unitary,
 )
-from .states import BipartiteState, apply_local, basis_index, lift
+from .states import BipartiteState, apply_local, basis_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +39,7 @@ class QuantumChannel:
         tol = tolerances.get()
         if not self.kraus:
             raise ValueError("QuantumChannel: need at least one Kraus matrix")
-        ops = tuple(as_matrix(k) for k in self.kraus)
+        ops = tuple(as_matrix(k).copy() for k in self.kraus)  # frozen below, not the caller's
         for k in ops:
             if k.shape != (self.d, self.d):
                 raise ValueError(f"QuantumChannel: Kraus shape {k.shape} != ({self.d}, {self.d})")
@@ -63,7 +64,12 @@ class QuantumChannel:
 
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Operator-sum action on a joint density operator (each K lifted with identity)."""
+    """Operator-sum action on a joint density operator, sum (I x K) rho (I x K)^dag.
+
+    Each K acts on Alice's (fast) index, so the sum is two batched products
+    over the stacked Kraus matrices: rho's rows are split as (Bob, Alice),
+    and then its columns.
+    """
     tol = tolerances.get()
     rho = as_matrix(rho)
     d = channel.d
@@ -73,11 +79,9 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError("apply_channel: density operator is not Hermitian")
     if float(np.trace(rho).real) > 1.0 + tol.unitarity:
         raise ValueError("apply_channel: density operator trace exceeds 1")
-    out = np.zeros_like(rho)
-    for k in channel.kraus:
-        lifted = lift(k, d)
-        out += lifted @ rho @ dagger(lifted)
-    return out
+    ks = np.stack(channel.kraus)
+    left = (ks[:, None] @ rho.reshape(d, d, d * d)).reshape(len(ks), d * d, d, d)
+    return (left @ dagger(ks)[:, None]).sum(0).reshape(d * d, d * d)
 
 
 def kraus_rank(channel: QuantumChannel) -> int:
@@ -118,7 +122,7 @@ class DilationResult:
     ancilla_dim: int
 
     def __post_init__(self) -> None:
-        u = as_matrix(self.u_tilde)
+        u = as_matrix(self.u_tilde).copy()
         u.setflags(write=False)
         object.__setattr__(self, "u_tilde", u)
 
@@ -137,21 +141,12 @@ def dilation_unitary(channel: QuantumChannel, seed: int) -> DilationResult:
         raise ValueError(f"dilation_unitary: channel is not trace-preserving (defect {defect:g})")
     d = channel.d
     n_anc = len(channel.kraus)
-    cols = []
-    for j in range(d):
-        col = np.zeros(d * n_anc, dtype=complex)
-        for r, k in enumerate(channel.kraus):
-            for i in range(d):
-                col[i * n_anc + r] = k[i, j]
-        cols.append(col)
-    completed = complete_to_unitary(cols, seed)
-    # Route each stacked column to its ancilla-input-0 slot j * n_anc; the
-    # completion columns fill the remaining ancilla-input slots.
-    positions = [j * n_anc for j in range(d)]
-    positions += [j * n_anc + s for s in range(1, n_anc) for j in range(d)]
+    cols = np.stack(channel.kraus, axis=1).reshape(d * n_anc, d)
+    completed = complete_to_unitary(cols.T, seed)
+    # Route completed column s*d + j to slot j*n_anc + s: the stacked columns
+    # land on ancilla input 0, the completion fills the other ancilla inputs.
     u = np.empty_like(completed)
-    for k, pos in enumerate(positions):
-        u[:, pos] = completed[:, k]
+    u[:, np.arange(d * n_anc).reshape(d, n_anc).T.reshape(-1)] = completed
     return DilationResult(u_tilde=u, ancilla_dim=n_anc)
 
 
@@ -193,12 +188,18 @@ def trace_out_ancilla_state(joint: np.ndarray, ancilla_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalizationResult:
-    """2x2 unitary mixing a Kraus pair, with the root and angles that built it."""
+    """2x2 unitary mixing a Kraus pair, with the root and angles that built it.
+
+    ``residual`` is the worse of the two roots' residuals in the
+    orthogonality quadratic (``orthogonality_roots``), 0.0 when the pair
+    was already orthogonal.
+    """
 
     v: np.ndarray
     z: complex
     theta: float
     xi: float
+    residual: float
 
 
 def orthogonality_roots(
@@ -235,8 +236,9 @@ def orthogonalize_kraus_pair(
     the two roots have reciprocal moduli, so the chosen rotation angle never
     exceeds pi/4 and the mixing matrix is well defined.  One overall phase is
     free and fixed to zero, making the output deterministic.  Returns the
-    mixing data plus the two replacement Kraus matrices; the replacement
-    channel acts identically to the original.
+    mixing data (with the worst root residual of the quadratic) plus the two
+    replacement Kraus matrices; the replacement channel acts identically to
+    the original.
     """
     tol = tolerances.get()
     k0 = as_matrix(k0)
@@ -255,7 +257,7 @@ def orthogonalize_kraus_pair(
     quadratic = orthogonality_roots(apply_local(k0, psi).coords, apply_local(k1, psi).coords)
     if quadratic is None:
         v = np.eye(2, dtype=complex)
-        result = OrthogonalizationResult(v=v, z=0.0 + 0.0j, theta=0.0, xi=0.0)
+        result = OrthogonalizationResult(v=v, z=0.0 + 0.0j, theta=0.0, xi=0.0, residual=0.0)
         return result, k0.copy(), k1.copy()
     roots, residual = quadratic
     if residual > tol.quadratic:
@@ -274,7 +276,8 @@ def orthogonalize_kraus_pair(
     mixed_overlap = abs(np.vdot(apply_local(r0, psi).coords, apply_local(r1, psi).coords))
     if mixed_overlap > tol.unitarity:
         raise RuntimeError(f"orthogonalize_kraus_pair: residual overlap {mixed_overlap:g}")
-    return OrthogonalizationResult(v=v, z=complex(z), theta=theta, xi=xi), r0, r1
+    result = OrthogonalizationResult(v=v, z=complex(z), theta=theta, xi=xi, residual=residual)
+    return result, r0, r1
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +370,6 @@ def support_containment_check(
 
 def random_trace_preserving_channel(d: int, n_kraus: int, seed: int) -> QuantumChannel:
     """Seeded random trace-preserving channel (slices of a random dilation unitary)."""
-    from .linalg import random_unitary
-
-    u = random_unitary(d * n_kraus, seed)
-    kraus = []
-    for r in range(n_kraus):
-        k = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                k[i, j] = u[i * n_kraus + r, j]
-        kraus.append(k)
-    return QuantumChannel(d=d, kraus=tuple(kraus))
+    # K_r[i, j] = u[i * n_kraus + r, j]
+    slices = random_unitary(d * n_kraus, seed)[:, :d].reshape(d, n_kraus, d)
+    return QuantumChannel(d=d, kraus=tuple(slices[:, r, :] for r in range(n_kraus)))

@@ -30,7 +30,7 @@ class UnitaryMessageSet:
 
     def __post_init__(self) -> None:
         tol = tolerances.get()
-        ops = tuple(as_matrix(u) for u in self.unitaries)
+        ops = tuple(as_matrix(u).copy() for u in self.unitaries)  # frozen below, not the caller's
         for u in ops:
             if u.shape != (self.d, self.d):
                 raise ValueError("UnitaryMessageSet: operator shape does not match d")

@@ -1,11 +1,13 @@
 """Dense complex matrix kernel for small dimensions.
 
 Products, adjoints, Kronecker products and Hermitian eigensystems defer to
-numpy (LAPACK) on complex128 arrays (pairs of double-precision reals).  The
-pieces with bespoke numerics live here: seeded unitary completion by
-modified Gram-Schmidt and square roots of positive diagonal matrices.  All
-functions are pure; randomized ones take explicit seeds and are
-reproducible bit for bit.
+numpy (LAPACK) on complex128 arrays (pairs of double-precision reals), and so
+do seeded random unitaries (one QR of a complex-Gaussian draw).  The pieces
+with bespoke numerics live here: seeded unitary completion by modified
+Gram-Schmidt, kept because protocol bundles print its columns at full
+precision, and square roots of positive diagonal matrices.  All functions
+are pure; randomized ones take explicit seeds and are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -191,5 +193,19 @@ def sqrt_psd_diagonal(h: np.ndarray) -> np.ndarray:
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded pseudo-random unitary (a completion of the empty column set)."""
-    return complete_to_unitary((), seed, dim=n)
+    """Seeded Haar-random unitary: the phase-fixed Q factor of a Ginibre draw.
+
+    Column k of the draw is the same complex-Gaussian vector that
+    ``complete_to_unitary((), seed, dim=n)`` draws for its column k; one
+    LAPACK QR replaces the Gram-Schmidt loop, and dividing the phases of R's
+    diagonal out of Q makes that diagonal positive, as in Gram-Schmidt
+    (Mezzadri, Notices AMS 54, 2007).  The two agree to rounding.
+    """
+    draws = rng_from(seed).standard_normal((n, 2, n))
+    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]).T)
+    diag = np.diagonal(r)
+    q = q * (diag / np.abs(diag))
+    defect = unitarity_defect(q)
+    if not defect <= tolerances.get().unitarity:  # also refuses NaN from a zero pivot
+        raise RuntimeError(f"random_unitary: defect {defect:g}")
+    return q

@@ -221,9 +221,9 @@ def build_bundle(
         m=m,
         v=v,
         w=w,
-        t=t,
-        y=y,
-        c=c,
+        t=_frozen(t),
+        y=_frozen(y),
+        c=_frozen(c),
         gamma=gamma,
         r=r,
         p1=p1,

@@ -98,7 +98,7 @@ class BipartiteState:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        coords = as_vector(self.coords)
+        coords = as_vector(self.coords).copy()  # frozen below; no alias of the caller's array
         if coords.size != self.d * self.d:
             raise ValueError("BipartiteState: coordinate count must be d*d")
         coords.setflags(write=False)
@@ -137,14 +137,6 @@ def apply_local(a: np.ndarray, psi: BipartiteState) -> BipartiteState:
         raise ValueError(f"apply_local: operator shape {a.shape} does not match d={d}")
     out = (psi.coords.reshape(d, d) @ a.T).reshape(-1)
     return BipartiteState(d=d, coords=out)
-
-
-def lift(a: np.ndarray, d: int) -> np.ndarray:
-    """Matrix of (a on Alice, identity on Bob) in the flat-index ordering."""
-    a = as_matrix(a)
-    if a.shape != (d, d):
-        raise ValueError("lift: operator shape does not match d")
-    return np.kron(np.eye(d), a)
 
 
 def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from .channels import (
     dilation_unitary,
     kraus_rank,
     lifted_kraus_states,
-    orthogonality_roots,
     orthogonalize_kraus_pair,
     random_trace_preserving_channel,
     support_containment_check,
@@ -124,9 +123,7 @@ def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
         after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
         worst_action = max(worst_action, max_abs(before - after))
         # Both quadratic roots must satisfy the orthogonality equation.
-        quadratic = orthogonality_roots(apply_local(k0, psi).coords, apply_local(k1, psi).coords)
-        if quadratic is not None:
-            worst_residual = max(worst_residual, quadratic[1])
+        worst_residual = max(worst_residual, result.residual)
     return SuiteReport(
         suite="orthogonalize",
         checks=(

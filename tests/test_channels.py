@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from densecode import tolerances
 from densecode.channels import (
+    DilationResult,
     QuantumChannel,
     apply_channel,
     apply_dilation,
@@ -11,13 +12,22 @@ from densecode.channels import (
     dilation_unitary,
     kraus_rank,
     lifted_kraus_states,
+    orthogonality_roots,
     orthogonalize_kraus_pair,
     random_trace_preserving_channel,
     support_containment_check,
     support_projector,
     trace_out_ancilla_state,
 )
-from densecode.linalg import gram, hermitian_eigenvalues, max_abs, random_unitary, rng_from, unitarity_defect
+from densecode.linalg import (
+    complete_to_unitary,
+    gram,
+    hermitian_eigenvalues,
+    max_abs,
+    random_unitary,
+    rng_from,
+    unitarity_defect,
+)
 from densecode.states import (
     BipartiteState,
     SchmidtSpectrum,
@@ -25,7 +35,7 @@ from densecode.states import (
     make_schmidt_state,
     uniform_spectrum,
 )
-from densecode.suites import random_spectrum
+from densecode.suites import random_density, random_spectrum
 
 from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X
 
@@ -37,6 +47,19 @@ def example_channel():
 def test_channel_rejects_supernormalized():
     with pytest.raises(ValueError):
         QuantumChannel(d=2, kraus=(2.0 * I2,))
+
+
+@pytest.mark.parametrize("dtype", (complex, float))
+def test_channel_freezes_copies_not_caller_arrays(dtype):
+    k = np.eye(2, dtype=dtype)
+    ch = QuantumChannel(d=2, kraus=(k,))
+    dil = DilationResult(u_tilde=k, ancilla_dim=1)
+    assert k.flags.writeable
+    assert not ch.kraus[0].flags.writeable
+    assert not dil.u_tilde.flags.writeable
+    k[0, 0] = 0.0
+    assert ch.kraus[0][0, 0] == 1.0
+    assert dil.u_tilde[0, 0] == 1.0
 
 
 def test_apply_identity_channel(example_spectrum):
@@ -62,6 +85,40 @@ def test_example_channel_branch_weights(example_spectrum):
     assert abs(weights[0] - 79 / 162) < 1e-12
     assert abs(weights[1] - 79 / 162) < 1e-12
     assert abs(weights[2] - 2 / 81) < 1e-12
+
+
+def lifted_reference(channel, rho):
+    """Operator sum with each Kraus matrix lifted to (identity on Bob) x K."""
+    eye = np.eye(channel.d)
+    lifts = [np.kron(eye, k) for k in channel.kraus]
+    return sum(m @ rho @ m.conj().T for m in lifts)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from((2, 3, 4)),
+    n_kraus=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    scale=st.sampled_from((1.0, 0.5)),
+)
+def test_apply_channel_matches_lifted_reference(d, n_kraus, seed, scale):
+    tp = random_trace_preserving_channel(d, n_kraus, seed=seed)
+    ch = QuantumChannel(d=d, kraus=tuple(scale * k for k in tp.kraus))
+    rho = random_density(d * d, rng_from(seed))
+    assert max_abs(apply_channel(ch, rho) - lifted_reference(ch, rho)) <= tolerances.get().equality
+
+
+def test_random_channel_slices_dilation_rows():
+    # K_r[i, j] = u[i * n + r, j] for the seeded random unitary u.
+    for d, n in ((2, 1), (2, 3), (3, 2), (4, 4)):
+        u = random_unitary(d * n, seed=d + n)
+        ch = random_trace_preserving_channel(d, n, seed=d + n)
+        for r, k in enumerate(ch.kraus):
+            expected = np.empty((d, d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    expected[i, j] = u[i * n + r, j]
+            assert np.array_equal(k, expected)
 
 
 def test_trace_preservation_on_random_inputs():
@@ -152,6 +209,34 @@ def test_dilation_of_unitary_channel_is_itself():
     assert max_abs(dil.u_tilde - u) == 0.0
 
 
+def dilation_loop_reference(channel, seed):
+    """Column-by-column dilation: stacked Kraus columns, then slot routing."""
+    d, n = channel.d, len(channel.kraus)
+    cols = []
+    for j in range(d):
+        col = np.zeros(d * n, dtype=complex)
+        for r, k in enumerate(channel.kraus):
+            for i in range(d):
+                col[i * n + r] = k[i, j]
+        cols.append(col)
+    completed = complete_to_unitary(cols, seed)
+    positions = [j * n for j in range(d)]
+    positions += [j * n + s for s in range(1, n) for j in range(d)]
+    u = np.empty_like(completed)
+    for k, pos in enumerate(positions):
+        u[:, pos] = completed[:, k]
+    return u
+
+
+def test_dilation_matches_loop_reference():
+    for d, n in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2)):
+        ch = random_trace_preserving_channel(d, n, seed=20 + d * n)
+        got = dilation_unitary(ch, seed=d * n).u_tilde
+        assert np.array_equal(got, dilation_loop_reference(ch, d * n))
+    triple = example_channel()
+    assert np.array_equal(dilation_unitary(triple, seed=6).u_tilde, dilation_loop_reference(triple, 6))
+
+
 def test_dilation_requires_trace_preserving():
     with pytest.raises(ValueError):
         dilation_unitary(QuantumChannel(d=2, kraus=(EXAMPLE_T, EXAMPLE_Y)), seed=0)
@@ -234,6 +319,7 @@ def test_orthogonalize_already_orthogonal_pair():
     result, r0, r1 = orthogonalize_kraus_pair(I2 / np.sqrt(2), X / np.sqrt(2), psi)
     assert max_abs(result.v - np.eye(2)) == 0.0
     assert result.z == 0.0
+    assert result.residual == 0.0
     assert max_abs(r0 - I2 / np.sqrt(2)) == 0.0
 
 
@@ -254,6 +340,15 @@ def test_orthogonalize_random_pairs():
         before = apply_channel(ch, rho)
         after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
         assert max_abs(before - after) < 1e-10
+
+
+def test_orthogonalization_residual_is_the_quadratic_residual():
+    for k, d in enumerate((2, 3, 4) * 4):
+        ch = random_trace_preserving_channel(d, 2, seed=70 + k)
+        psi = make_schmidt_state(random_spectrum(d, rng_from(71, k)))
+        result, _, _ = orthogonalize_kraus_pair(*ch.kraus, psi)
+        phi0, phi1 = (apply_local(m, psi).coords for m in ch.kraus)
+        assert result.residual == orthogonality_roots(phi0, phi1)[1]
 
 
 def test_orthogonalize_rejects_dependent_pair():

@@ -29,6 +29,16 @@ def test_message_set_rejects_non_unitary():
         UnitaryMessageSet(d=2, unitaries=(np.array([[1, 0], [0, 0.5]], dtype=complex),))
 
 
+@pytest.mark.parametrize("dtype", (complex, float))
+def test_message_set_freezes_copies_not_caller_arrays(dtype):
+    u = np.eye(2, dtype=dtype)
+    msgs = UnitaryMessageSet(d=2, unitaries=(u,))
+    assert u.flags.writeable
+    assert not msgs.unitaries[0].flags.writeable
+    u[0, 0] = -1.0
+    assert msgs.unitaries[0][0, 0] == 1.0
+
+
 def test_certify_identity_shift_pair(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     cert = certify_distinguishable(UnitaryMessageSet(d=2, unitaries=(I2, X)), psi)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densecode import linalg
+from densecode import linalg, tolerances
 from densecode.linalg import (
     complete_to_unitary,
     gram,
@@ -120,8 +120,18 @@ def test_completion_rejects_bad_input():
 
 def test_completion_defect_over_many_seeds():
     for seed in range(30):
-        m = linalg.random_unitary(6, seed=seed)
+        m = complete_to_unitary((), seed, dim=6)
         assert unitarity_defect(m) < 1e-10
+
+
+def test_random_unitary_matches_gram_schmidt_completion():
+    # The QR sampler draws the same Gaussian columns as the completion of the
+    # empty set, so the two agree to rounding.
+    for n in range(1, 13):
+        for seed in range(4):
+            u = linalg.random_unitary(n, seed=seed)
+            assert unitarity_defect(u) <= tolerances.get().unitarity
+            assert max_abs(u - complete_to_unitary((), seed, dim=n)) <= 1e-13
 
 
 def test_eigenvalues_of_diagonal():

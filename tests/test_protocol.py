@@ -99,6 +99,11 @@ def test_bundle_names_certified_set_below_unitarity_gate(example_spectrum):
     assert err.value.defects == {"certificate": cert.gram_defect}
 
 
+def test_bundle_kraus_arrays_are_read_only(example_bundle):
+    for a in (example_bundle.t, example_bundle.y, example_bundle.c, example_bundle.lifted):
+        assert not a.flags.writeable
+
+
 def test_bundle_branch_plane_matches_example(example_bundle):
     # The added-column plane is completion-invariant and matches the example.
     ours = np.outer(example_bundle.v, example_bundle.v.conj()) + np.outer(

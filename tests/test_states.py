@@ -52,6 +52,15 @@ def test_parse_spectrum_rejects_garbage():
         parse_spectrum("")
 
 
+def test_state_does_not_alias_caller_coordinates():
+    coords = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    psi = BipartiteState(d=2, coords=coords)
+    assert coords.flags.writeable
+    assert not psi.coords.flags.writeable
+    coords[0] = 5.0
+    assert psi.coords[0] == 1.0 and psi.normalized
+
+
 def test_make_schmidt_state_maximally_entangled():
     psi = make_schmidt_state(uniform_spectrum(2))
     expected = np.zeros(4, dtype=complex)
