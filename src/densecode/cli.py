@@ -181,9 +181,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = args.d
+    if d < 2:
+        return _fail(f"--d must be >= 2, got {d}")
+    if args.points < 1:
+        return _fail(f"--points must be >= 1, got {args.points}")
     lo, hi = 1.0 / d, d / (d * d - 2)
     if args.lambda0:
-        grid = [float(Fraction(tok)) for tok in args.lambda0.split(",") if tok.strip()]
+        try:
+            grid = [float(Fraction(tok)) for tok in args.lambda0.split(",") if tok.strip()]
+        except ZeroDivisionError as err:
+            return _fail(f"bad --lambda0 {args.lambda0!r}: {err}")
+        if not grid:
+            return _fail(f"--lambda0 {args.lambda0!r} lists no values")
     else:
         grid = [lo + k * (hi - lo) / args.points for k in range(args.points)]
     for lam0 in grid:

@@ -140,20 +140,16 @@ def _phi_matrix(eigs: np.ndarray) -> np.ndarray:
 def _decompose_generators(theta: np.ndarray, d: int, count: int):
     """Eigenvalues, eigenvectors and unitaries for every message.
 
-    ``theta`` holds the ``(count - 1) d^2`` generator parameters, or a
-    ``(..., (count - 1) d^2)`` stack of such points; every free generator of
-    the stack goes through one eigensolve.  ``us[..., 0, :, :]`` is the
-    pinned identity and ``us[..., k, :, :] = exp(i H_k)`` for k >= 1, whose
-    eigendata sit at index ``k - 1`` of the returned ``w`` and ``q``.
-    LAPACK solves each matrix of a stack on its own, so row ``r`` of a
-    stack gives bit for bit what ``theta[r]`` gives alone.
+    ``theta`` holds the ``(count - 1) d^2`` generator parameters; every free
+    generator goes through one stacked eigensolve.  ``us[0]`` is the pinned
+    identity and ``us[k] = exp(i H_k)`` for k >= 1, whose eigendata sit at
+    index ``k - 1`` of the returned ``w`` and ``q``.
     """
-    theta = np.asarray(theta, dtype=float)
-    h = hermitian_from_params(np.reshape(theta, theta.shape[:-1] + (count - 1, d * d)), d)
+    h = hermitian_from_params(np.reshape(theta, (count - 1, d * d)), d)
     w, q = np.linalg.eigh(h)
-    us = np.empty(theta.shape[:-1] + (count, d, d), dtype=complex)
-    us[..., 0, :, :] = np.eye(d)
-    us[..., 1:, :, :] = (q * np.exp(1j * w)[..., None, :]) @ dagger(q)
+    us = np.empty((count, d, d), dtype=complex)
+    us[0] = np.eye(d)
+    us[1:] = (q * np.exp(1j * w)[:, None, :]) @ dagger(q)
     return w, q, us
 
 
@@ -204,7 +200,7 @@ def _gram_and_jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Off-diagonal lifted overlaps and their Jacobian in the generator parameters.
 
-    ``point`` is one unstacked ``_decompose_generators`` result ``(w, q, us)``.
+    ``point`` is one ``_decompose_generators`` result ``(w, q, us)``.
     """
     w, q, us = point
     count, d = len(us), spectrum.d

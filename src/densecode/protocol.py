@@ -436,9 +436,12 @@ def simulate(
     stream ``rng_from(seed, k)``.  Each trial takes one uniform, inverted
     through the cumulative receiver distribution, and the measured final
     message takes a second one per trial for its ancilla abort (probability
-    p1).  A seed therefore fixes the histogram whatever order the chunks run
-    in.  Residual probability mass outside the decoder projectors lands in
-    an explicit ``undetected`` bucket rather than being renormalized away.
+    p1).  A chunk counts its uniforms under each cumulative threshold, aborts
+    pushed past them all, for that inversion's histogram without a per-trial
+    code (one multinomial per chunk is faster but changes every seed's).
+    A seed therefore fixes the histogram whatever order the chunks run in.
+    Residual probability mass outside the decoder projectors lands in an
+    explicit ``undetected`` bucket rather than being renormalized away.
     """
     variant = normalize_variant(variant)
     if trials < 1:
@@ -447,20 +450,22 @@ def simulate(
     measured = message == len(bundle.messages) and variant == VARIANT_MEASURE
     cum = np.cumsum(bob_distribution(decoder, _delivered(bundle, message, variant)))
 
-    n_out = decoder.n_outcomes
-    undetected, aborted = n_out, n_out + 1
-    tally = np.zeros(n_out + 2, dtype=np.int64)
+    thresholds = cum[: decoder.n_outcomes]
+    below = [0] * len(thresholds)
+    aborted = 0
     for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
         n = min(SIM_CHUNK, trials - start)
         rng = rng_from(seed, chunk)
-        codes = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), undetected)
+        u = rng.random(n)
         if measured:
-            codes[rng.random(n) < bundle.p1] = aborted
-        tally += np.bincount(codes, minlength=n_out + 2)
+            abort = rng.random(n) < bundle.p1
+            aborted += np.count_nonzero(abort)
+            u[abort] = np.inf
+        below = [b + np.count_nonzero(u < c) for b, c in zip(below, thresholds)]
 
-    counts = {str(j): int(tally[j]) for j in range(n_out)}
-    counts["aborted"] = int(tally[aborted])
-    counts["undetected"] = int(tally[undetected])
+    counts = {str(j): int(hi - lo) for j, (lo, hi) in enumerate(zip([0, *below], below))}
+    counts["aborted"] = int(aborted)
+    counts["undetected"] = int(trials - aborted - below[-1])
     return SimulationReport(
         trials=trials,
         message_sent=message,

@@ -66,6 +66,8 @@ class SchmidtSpectrum:
 
 def uniform_spectrum(d: int) -> SchmidtSpectrum:
     """The maximally entangled spectrum (every coefficient 1/d)."""
+    if d < 2:
+        raise ValueError(f"uniform_spectrum: qudit dimension must be >= 2, got {d}")
     return SchmidtSpectrum(d=d, lambdas=(1.0 / d,) * d, exact=(Fraction(1, d),) * d)
 
 

@@ -79,6 +79,23 @@ def test_simulate_csv(capsys):
     assert "0,50" in lines
 
 
+@pytest.mark.parametrize(
+    "variant, histogram",
+    [
+        ("measure", {"0": 0, "1": 0, "2": 97512, "aborted": 2488, "undetected": 0}),
+        ("no-measure", {"0": 1211, "1": 0, "2": 98789, "aborted": 0, "undetected": 0}),
+    ],
+)
+def test_simulate_seed_to_histogram_golden(capsys, variant, histogram):
+    # Pins the seed -> histogram contract: a new sampler must give these bytes.
+    code, out, _ = run(
+        capsys, "simulate", "--message", "2", "--trials", "100000", "--seed", "12345",
+        "--variant", variant,
+    )
+    assert code == 0
+    assert json.loads(out)["outcome_histogram"] == histogram
+
+
 def test_simulate_message_out_of_range(capsys):
     code, _, err = run(capsys, "simulate", "--message", "5", "--trials", "10")
     assert code == 1
@@ -119,6 +136,26 @@ def test_bounds_rejects_out_of_range(capsys):
     code, _, err = run(capsys, "bounds", "--d", "3", "--lambda0", "0.5")
     assert code == 1
     assert "outside" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--d", "0"), "--d must be >= 2, got 0"),
+        (("bounds", "--d", "1"), "--d must be >= 2, got 1"),
+        (("bounds", "--d", "2", "--points", "0"), "--points must be >= 1, got 0"),
+        (("bounds", "--d", "2", "--lambda0", ","), "--lambda0 ',' lists no values"),
+        (("bounds", "--d", "2", "--lambda0", "1/0"), "bad --lambda0 '1/0': Fraction(1, 0)"),
+        (("verify", "--suite", "identities", "--d", "0"),
+         "uniform_spectrum: qudit dimension must be >= 2, got 0"),
+    ],
+)
+def test_bounds_and_verify_reject_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert (doc["schema"], doc["kind"], doc["error"]) == ("densecode/1", "error", message)
 
 
 def test_search_rejects_negative_restart_budget(capsys):

@@ -196,17 +196,6 @@ def test_pair_jacobian_matches_finite_differences():
         assert np.max(np.abs(fd - jac[:, a])) < 1e-7
 
 
-def test_stacked_decomposition_matches_each_row():
-    rng = rng_from(77)
-    for d, count in ((2, 3), (3, 7), (4, 5)):
-        stack = rng.standard_normal((12, (count - 1) * d * d))
-        stacked = _decompose_generators(stack, d, count)
-        assert stacked[2].shape == (12, count, d, d)
-        for r, row in enumerate(stack):
-            for whole, alone in zip(stacked, _decompose_generators(row, d, count)):
-                assert np.array_equal(whole[r], alone)
-
-
 @pytest.mark.parametrize(
     "values, count",
     [

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from densecode import tolerances
+from densecode import protocol, tolerances
 from densecode.channels import apply_dilation
-from densecode.encoding import UnitaryMessageSet, certify_distinguishable, weyl_set
+from densecode.encoding import UnitaryMessageSet, certify_distinguishable, search_message_set, weyl_set
 from densecode.linalg import max_abs, rng_from
 from densecode.protocol import (
     SIM_CHUNK,
@@ -21,8 +21,10 @@ from densecode.protocol import (
     bundle_to_json,
     compute_R,
     default_messages,
+    _delivered,
     encode_message,
     gamma_from_spectrum,
+    normalize_variant,
     p1_bound_general,
     p1_equal_tail,
     report_to_json,
@@ -32,6 +34,15 @@ from densecode.serialize import dumps
 from densecode.states import SchmidtSpectrum, make_schmidt_state, uniform_spectrum
 
 from conftest import EXAMPLE_M, SEED
+
+
+@pytest.fixture(scope="module")
+def d3_bundle():
+    """A qutrit bundle on a searched 7-message set."""
+    s = SchmidtSpectrum.from_values([0.35, 0.325, 0.325])
+    messages = search_message_set(s, 7, seed=5, max_iters=8)
+    assert messages is not None
+    return build_bundle(s, messages, seed=SEED)
 
 
 def test_compute_R_example(example_spectrum):
@@ -352,6 +363,66 @@ def test_simulate_abort_frequency_property(lam0, trials, seed):
         assert any(o.outcome_histogram != report.outcome_histogram for o in others)
 
 
+def searchsorted_reference(bundle, decoder, message, trials, variant, seed):
+    """Per-trial outcome codes: invert each uniform by ``searchsorted``, then ``bincount``."""
+    variant = normalize_variant(variant)
+    measured = message == len(bundle.messages) and variant == VARIANT_MEASURE
+    cum = np.cumsum(protocol.bob_distribution(decoder, _delivered(bundle, message, variant)))
+    n_out = decoder.n_outcomes
+    undetected, aborted = n_out, n_out + 1
+    tally = np.zeros(n_out + 2, dtype=np.int64)
+    for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
+        n = min(SIM_CHUNK, trials - start)
+        rng = rng_from(seed, chunk)
+        codes = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), undetected)
+        if measured:
+            codes[rng.random(n) < bundle.p1] = aborted
+        tally += np.bincount(codes, minlength=n_out + 2)
+    counts = {str(j): int(tally[j]) for j in range(n_out)}
+    counts["aborted"] = int(tally[aborted])
+    counts["undetected"] = int(tally[undetected])
+    return counts
+
+
+def assert_tally_matches_reference(bundle, decoder, trials, seed):
+    for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
+        for message in range(bundle.n_messages):
+            hist = simulate(bundle, decoder, message, trials, variant, seed).outcome_histogram
+            assert hist == searchsorted_reference(bundle, decoder, message, trials, variant, seed)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    lam0=st.floats(min_value=0.5, max_value=1.0 - 1e-9, exclude_min=True),
+    trials=st.integers(min_value=1, max_value=3 * SIM_CHUNK + 1),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+)
+@example(lam0=0.5 + 1e-12, trials=3 * SIM_CHUNK + 1, seed=2 ** 64 - 1)
+@example(lam0=1.0 - 1e-9, trials=SIM_CHUNK, seed=12345)
+def test_simulate_tally_matches_searchsorted_reference(lam0, trials, seed):
+    bundle = build_bundle(SchmidtSpectrum.from_values([lam0, 1.0 - lam0]), default_messages(2), seed=SEED)
+    assert_tally_matches_reference(bundle, build_decoder(bundle), trials, seed)
+
+
+def test_simulate_tally_matches_reference_on_d3_bundle(d3_bundle):
+    decoder = build_decoder(d3_bundle)
+    for trials, seed in ((1, 0), (SIM_CHUNK + 1, 3), (2 * SIM_CHUNK + 7, 2 ** 64 - 1)):
+        assert_tally_matches_reference(d3_bundle, decoder, trials, seed)
+
+
+def test_simulate_tally_matches_reference_at_exact_ties(example_bundle, example_decoder, monkeypatch):
+    # Real thresholds almost never equal a drawn uniform, so place them on
+    # two uniforms of chunk 0: a uniform equal to a threshold lies above it,
+    # and a zero-probability outcome between equal thresholds stays empty.
+    seed = 7
+    lo, hi = np.sort(rng_from(seed, 0).random(2))
+    probs = np.array([lo, 0.0, hi - lo, 1.0 - hi])
+    cum = np.cumsum(probs)
+    assert cum[0] == cum[1] == lo and cum[2] == hi
+    monkeypatch.setattr(protocol, "bob_distribution", lambda decoder, encoded: probs)
+    assert_tally_matches_reference(example_bundle, example_decoder, 2 * SIM_CHUNK + 5, seed)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(lam0=st.floats(min_value=0.5, max_value=1.0 - 1e-9))
 def test_bundle_states_property(lam0):
@@ -375,16 +446,9 @@ def test_simulate_accepts_cli_variant_names(example_bundle, example_decoder):
     assert rep.variant == VARIANT_NO_MEASURE
 
 
-def test_d3_bundle_end_to_end():
+def test_d3_bundle_end_to_end(d3_bundle):
     # Full qutrit flow: searched 7-message set, bundle, decoder, simulation.
-    from densecode.encoding import search_message_set
-    from densecode.protocol import build_decoder
-
-    s = SchmidtSpectrum.from_values([0.35, 0.325, 0.325])
-    messages = search_message_set(s, 7, seed=5, max_iters=8)
-    assert messages is not None
-    bundle = build_bundle(s, messages, seed=SEED)
-
+    bundle = d3_bundle
     exact, _ = p1_equal_tail(3, 0.35)
     assert abs(bundle.p1 - exact) < 1e-9
     assert abs(bundle.gamma[1]) < 1e-9 and abs(bundle.gamma[2]) < 1e-12
@@ -403,8 +467,6 @@ def test_d3_bundle_end_to_end():
 
 
 def test_d4_bundle_from_searched_set():
-    from densecode.encoding import search_message_set
-
     s = SchmidtSpectrum.from_values([0.28, 0.26, 0.24, 0.22])
     messages = search_message_set(s, 14, seed=2)
     assert messages is not None
