@@ -2,8 +2,9 @@
 
 Library layout:
 
-- ``linalg``: dense complex kernel (Kronecker/Gram products, seeded unitary
-  completion, LAPACK Hermitian eigensystems, diagonal square roots)
+- ``linalg``: dense complex kernel (Gram products, seeded unitary
+  completion, stacked LAPACK Hermitian eigensystems and random unitaries,
+  diagonal square roots)
 - ``states``: Schmidt spectra, the shared state, local action, partial trace
 - ``channels``: operator-sum channels, dilation, Kraus-pair orthogonalization,
   ancilla-measurement support containment

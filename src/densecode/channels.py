@@ -4,7 +4,11 @@ A channel is an ordered collection of d x d Kraus matrices acting on Alice's
 side of the shared state.  Besides application and rank, this module builds
 the unitary dilation onto an ancilla, rotates a two-element Kraus pair so its
 lifted states become orthogonal, and checks that measuring the ancilla can
-only steer the joint state inside the support of the channel output.
+only steer the joint state inside the support of the channel output.  Each
+of these has a stacked form over leading axes (``apply_kraus``,
+``dilation_unitaries``, ``orthogonalize_kraus_pairs``,
+``containment_residuals``, ...); the per-channel function is its one-item
+case.
 """
 
 from __future__ import annotations
@@ -17,15 +21,31 @@ import numpy as np
 
 from . import tolerances
 from .linalg import (
+    as_matrices,
     as_matrix,
     complete_to_unitary,
     dagger,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     max_abs,
-    numerical_rank,
-    random_unitary,
+    numerical_ranks,
+    random_unitaries,
 )
-from .states import BipartiteState, apply_local, basis_index
+from .states import BipartiteState, apply_local, local_action, pure_densities
+
+
+def kraus_sums(kraus: np.ndarray) -> np.ndarray:
+    """sum_r K_r^dag K_r for each Kraus set of a stack ``(..., n, d, d)``."""
+    return (dagger(kraus) @ kraus).sum(axis=-3)
+
+
+def validate_kraus(kraus: np.ndarray) -> None:
+    """Refuse any Kraus set of a stack ``(..., n, d, d)`` whose sum K^dag K exceeds the identity."""
+    top = hermitian_eigenvalues(kraus_sums(kraus))[..., 0]
+    if np.any(top > 1.0 + tolerances.get().unitarity):
+        raise ValueError(
+            f"QuantumChannel: sum K^dag K exceeds the identity (top eigenvalue {top.max():g})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,78 +56,94 @@ class QuantumChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        tol = tolerances.get()
         if not self.kraus:
             raise ValueError("QuantumChannel: need at least one Kraus matrix")
-        ops = tuple(as_matrix(k).copy() for k in self.kraus)  # frozen below, not the caller's
+        ops = [as_matrix(k) for k in self.kraus]
         for k in ops:
             if k.shape != (self.d, self.d):
                 raise ValueError(f"QuantumChannel: Kraus shape {k.shape} != ({self.d}, {self.d})")
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
-        top = hermitian_eigensystem(self._ksum())[0][0]
-        if top > 1.0 + tol.unitarity:
-            raise ValueError(f"QuantumChannel: sum K^dag K exceeds the identity (top eigenvalue {top:g})")
+        stack = np.array(ops)  # a frozen copy, not the caller's arrays
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
+        validate_kraus(stack)
 
-    def _ksum(self) -> np.ndarray:
-        total = np.zeros((self.d, self.d), dtype=complex)
-        for k in self.kraus:
-            total += dagger(k) @ k
-        return total
+    def stacked(self) -> np.ndarray:
+        """The Kraus matrices as one read-only ``(n, d, d)`` array."""
+        return self._stack
 
     def completeness_defect(self) -> float:
         """Max-modulus distance of sum K^dag K from the identity."""
-        return max_abs(self._ksum() - np.eye(self.d))
+        return max_abs(kraus_sums(self.stacked()) - np.eye(self.d))
 
     def is_trace_preserving(self) -> bool:
         return self.completeness_defect() < tolerances.get().unitarity
 
 
-def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Operator-sum action on a joint density operator, sum (I x K) rho (I x K)^dag.
+def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Operator-sum action of Kraus sets ``(..., n, d, d)`` on joint densities ``(..., d*d, d*d)``.
 
-    Each K acts on Alice's (fast) index, so the sum is two batched products
-    over the stacked Kraus matrices: rho's rows are split as (Bob, Alice),
-    and then its columns.
+    Computes sum (I x K) rho (I x K)^dag with each K on Alice's (fast)
+    index, as two batched products over the Kraus axis: rho's rows are split
+    as (Bob, Alice), and then its columns.  The leading axes of ``kraus``
+    and ``rho`` must match.
     """
     tol = tolerances.get()
-    rho = as_matrix(rho)
-    d = channel.d
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"apply_channel: density operator shape {rho.shape} != ({d*d}, {d*d})")
+    rho = as_matrices(rho)
+    n, d = kraus.shape[-3], kraus.shape[-1]
+    if rho.shape[-2:] != (d * d, d * d):
+        raise ValueError(f"apply_channel: density operator shape {rho.shape[-2:]} != ({d*d}, {d*d})")
     if max_abs(rho - dagger(rho)) > tol.unitarity:
         raise ValueError("apply_channel: density operator is not Hermitian")
-    if float(np.trace(rho).real) > 1.0 + tol.unitarity:
+    if np.any(np.trace(rho, axis1=-2, axis2=-1).real > 1.0 + tol.unitarity):
         raise ValueError("apply_channel: density operator trace exceeds 1")
-    ks = np.stack(channel.kraus)
-    left = (ks[:, None] @ rho.reshape(d, d, d * d)).reshape(len(ks), d * d, d, d)
-    return (left @ dagger(ks)[:, None]).sum(0).reshape(d * d, d * d)
+    batch = rho.shape[:-2]
+    left = (kraus[..., :, None, :, :] @ rho.reshape(batch + (1, d, d, d * d))).reshape(
+        batch + (n, d * d, d, d)
+    )
+    out = (left @ dagger(kraus)[..., :, None, :, :]).sum(axis=-4)
+    return out.reshape(batch + (d * d, d * d))
+
+
+def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    """Operator-sum action on a joint density operator (``apply_kraus`` of one channel)."""
+    return apply_kraus(channel.stacked(), as_matrix(rho))
+
+
+def kraus_ranks(kraus: np.ndarray) -> np.ndarray:
+    """Dimension of the span of each stacked Kraus set's vectorized matrices ``(..., n, d, d)``.
+
+    Counted by ``linalg.numerical_ranks``.
+    """
+    if np.any(np.abs(kraus).max(axis=(-3, -2, -1)) == 0.0):
+        raise ValueError("kraus_rank: all-zero channel")
+    return numerical_ranks(kraus.reshape(kraus.shape[:-2] + (-1,)))
 
 
 def kraus_rank(channel: QuantumChannel) -> int:
-    """Dimension of the span of the vectorized Kraus matrices.
-
-    Counted by ``linalg.numerical_rank``.
-    """
-    if all(max_abs(k) == 0.0 for k in channel.kraus):
-        raise ValueError("kraus_rank: all-zero channel")
-    return numerical_rank([k.reshape(-1) for k in channel.kraus])
+    """Dimension of the span of the vectorized Kraus matrices (``kraus_ranks`` of one)."""
+    return int(kraus_ranks(channel.stacked()))
 
 
-def lifted_kraus_states(channel: QuantumChannel, psi: BipartiteState) -> list[BipartiteState]:
-    """Each Kraus matrix applied locally to the shared state.
+def lifted_kraus(kraus: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Each Kraus matrix of a stack ``(..., n, d, d)`` applied locally to Schmidt states ``(..., d*d)``.
 
     For linearly independent Kraus matrices and a full-support Schmidt state
     the outputs are linearly independent, so their Gram rank equals the
-    channel's Kraus rank.
+    Kraus rank.  Returns ``(..., n, d*d)``.
     """
-    d = channel.d
-    if psi.d != d:
-        raise ValueError("lifted_kraus_states: state dimension mismatch")
-    amps = [abs(psi.coords[basis_index(j, j, d)]) for j in range(d)]
-    if min(amps) <= tolerances.get().equality:
+    d = kraus.shape[-1]
+    amps = np.abs(coords[..., :: d + 1])  # the (j, j) coordinates
+    if np.any(amps <= tolerances.get().equality):
         raise ValueError("lifted_kraus_states: zero Schmidt coefficient detected")
-    return [apply_local(k, psi) for k in channel.kraus]
+    return local_action(kraus, coords[..., None, :])
+
+
+def lifted_kraus_states(channel: QuantumChannel, psi: BipartiteState) -> list[BipartiteState]:
+    """Each Kraus matrix applied locally to the shared state (``lifted_kraus`` of one)."""
+    if psi.d != channel.d:
+        raise ValueError("lifted_kraus_states: state dimension mismatch")
+    return [BipartiteState(d=psi.d, coords=c) for c in lifted_kraus(channel.stacked(), psi.coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +163,38 @@ class DilationResult:
         object.__setattr__(self, "u_tilde", u)
 
 
-def dilation_unitary(channel: QuantumChannel, seed: int) -> DilationResult:
-    """Extend a trace-preserving channel to a unitary on qudit + N-level ancilla.
+def dilation_unitaries(kraus: np.ndarray, seeds) -> np.ndarray:
+    """Dilation unitaries of trace-preserving Kraus sets ``(B, n, d, d)``, one seed each.
 
     Joint index convention (i, r) -> i*N + r, ancilla fastest.  Column (j, 0)
     holds entry K^(r)[i, j] at row (i, r); those d columns are orthonormal
     exactly when the channel is trace-preserving, and the remaining columns
-    come from the seeded completion.
+    come from the seeded completion, one modified Gram-Schmidt run per set.
+    Returns ``(B, d*n, d*n)``.
     """
     tol = tolerances.get()
-    defect = channel.completeness_defect()
-    if defect >= tol.unitarity:
-        raise ValueError(f"dilation_unitary: channel is not trace-preserving (defect {defect:g})")
-    d = channel.d
-    n_anc = len(channel.kraus)
-    cols = np.stack(channel.kraus, axis=1).reshape(d * n_anc, d)
-    completed = complete_to_unitary(cols.T, seed)
+    defects = np.abs(kraus_sums(kraus) - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+    if np.any(defects >= tol.unitarity):
+        raise ValueError(
+            f"dilation_unitary: channel is not trace-preserving (defect {defects.max():g})"
+        )
+    b, n_anc, d, _ = kraus.shape
+    cols = kraus.transpose(0, 2, 1, 3).reshape(b, d * n_anc, d)  # row (i, r), column j
+    completed = np.stack([complete_to_unitary(c.T, seed) for c, seed in zip(cols, seeds)])
     # Route completed column s*d + j to slot j*n_anc + s: the stacked columns
     # land on ancilla input 0, the completion fills the other ancilla inputs.
     u = np.empty_like(completed)
-    u[:, np.arange(d * n_anc).reshape(d, n_anc).T.reshape(-1)] = completed
-    return DilationResult(u_tilde=u, ancilla_dim=n_anc)
+    u[..., np.arange(d * n_anc).reshape(d, n_anc).T.reshape(-1)] = completed
+    return u
+
+
+def dilation_unitary(channel: QuantumChannel, seed: int) -> DilationResult:
+    """Extend a trace-preserving channel to a unitary on qudit + N-level ancilla.
+
+    The one-channel case of ``dilation_unitaries``.
+    """
+    u = dilation_unitaries(channel.stacked()[None], [seed])[0]
+    return DilationResult(u_tilde=u, ancilla_dim=len(channel.kraus))
 
 
 def dilated_state(channel: QuantumChannel, psi: BipartiteState) -> np.ndarray:
@@ -163,22 +210,27 @@ def dilated_state(channel: QuantumChannel, psi: BipartiteState) -> np.ndarray:
     return out
 
 
+def dilate(u: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Dilation unitaries ``(..., d*N, d*N)`` applied to states ``(..., d*d)`` x (ancilla level 0)."""
+    d = math.isqrt(coords.shape[-1])
+    n_anc = u.shape[-1] // d
+    joint = np.zeros(coords.shape[:-1] + (d * d * n_anc,), dtype=complex)
+    joint[..., 0::n_anc] = coords
+    # The unitary touches Alice's index and the ancilla; Bob's index rides along.
+    blocks = joint.reshape(coords.shape[:-1] + (d, d * n_anc))
+    out = blocks @ np.swapaxes(u, -1, -2)
+    return out.reshape(coords.shape[:-1] + (-1,))
+
+
 def apply_dilation(dilation: DilationResult, psi: BipartiteState) -> np.ndarray:
     """Apply the dilation unitary to (shared state) x (ancilla in level 0)."""
-    d = psi.d
-    n_anc = dilation.ancilla_dim
-    joint = np.zeros(d * d * n_anc, dtype=complex)
-    joint[0::n_anc] = psi.coords
-    # The unitary touches Alice's index and the ancilla; Bob's index rides along.
-    blocks = joint.reshape(d, d * n_anc)
-    return (blocks @ dilation.u_tilde.T).reshape(-1)
+    return dilate(dilation.u_tilde, psi.coords)
 
 
 def trace_out_ancilla_state(joint: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """Reduced joint-system density operator of a pure (system x ancilla) vector."""
-    vec = np.asarray(joint, dtype=complex).reshape(-1)
-    sys_dim = vec.size // ancilla_dim
-    r = vec.reshape(sys_dim, ancilla_dim)
+    """Reduced joint-system density operator of pure (system x ancilla) vectors ``(..., s*N)``."""
+    vec = np.asarray(joint, dtype=complex)
+    r = vec.reshape(vec.shape[:-1] + (vec.shape[-1] // ancilla_dim, ancilla_dim))
     return r @ dagger(r)
 
 
@@ -192,7 +244,8 @@ class OrthogonalizationResult:
 
     ``residual`` is the worse of the two roots' residuals in the
     orthogonality quadratic (``orthogonality_roots``), 0.0 when the pair
-    was already orthogonal.
+    was already orthogonal.  From ``orthogonalize_kraus_pairs`` every field
+    is an array over the stack.
     """
 
     v: np.ndarray
@@ -202,30 +255,52 @@ class OrthogonalizationResult:
     residual: float
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> over the last axis of two stacks of vectors."""
+    return np.einsum("...i,...i->...", a.conj(), b)
+
+
+def orthogonality_quadratics(
+    phi0: np.ndarray, phi1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both roots of the orthogonality quadratic for stacks of lifted states ``(..., n)``.
+
+    The quadratic is a z^2 + b z + c = 0 with a = -<phi_1|phi_0>,
+    b = <phi_0|phi_0> - <phi_1|phi_1> and c = <phi_0|phi_1>; its discriminant
+    is real and positive.  Returns the roots ``(..., 2)``, their worst
+    residual |a z^2 + b z + c| and a mask of the pairs that are already
+    orthogonal (|c| below ``tolerances.ALREADY_ORTHOGONAL``), whose roots and
+    residual are zero.
+    """
+    c = _inner(phi0, phi1)
+    orthogonal = np.abs(c) < tolerances.ALREADY_ORTHOGONAL
+    a = np.where(orthogonal, -1.0, -np.conj(c))
+    b = _inner(phi0, phi0).real - _inner(phi1, phi1).real
+    root_disc = np.sqrt(b * b - 4.0 * a * c)
+    roots = np.stack(((-b + root_disc) / (2.0 * a), (-b - root_disc) / (2.0 * a)), axis=-1)
+    roots[orthogonal] = 0.0
+    residual = np.abs(a[..., None] * roots * roots + b[..., None] * roots + c[..., None]).max(axis=-1)
+    return roots, np.where(orthogonal, 0.0, residual), orthogonal
+
+
 def orthogonality_roots(
     phi0: np.ndarray, phi1: np.ndarray
 ) -> tuple[tuple[complex, complex], float] | None:
     """Both roots of the orthogonality quadratic for lifted states ``phi0``, ``phi1``.
 
-    The quadratic is a z^2 + b z + c = 0 with a = -<phi_1|phi_0>,
-    b = <phi_0|phi_0> - <phi_1|phi_1> and c = <phi_0|phi_1>; its discriminant
-    is real and positive.  Returns the roots and their worst residual
-    |a z^2 + b z + c|, or None when the states are already orthogonal.
+    The one-pair case of ``orthogonality_quadratics``: the roots and their
+    worst residual, or None when the states are already orthogonal.
     """
-    c = complex(np.vdot(phi0, phi1))
-    if abs(c) < 1e-13:
+    roots, residual, orthogonal = orthogonality_quadratics(phi0[None], phi1[None])
+    if orthogonal[0]:
         return None
-    a = -np.conj(c)
-    b = float(np.vdot(phi0, phi0).real - np.vdot(phi1, phi1).real)
-    root_disc = np.sqrt(complex(b * b - 4.0 * a * c))
-    roots = ((-b + root_disc) / (2.0 * a), (-b - root_disc) / (2.0 * a))
-    return roots, max(abs(a * z * z + b * z + c) for z in roots)
+    return (complex(roots[0, 0]), complex(roots[0, 1])), float(residual[0])
 
 
-def orthogonalize_kraus_pair(
-    k0: np.ndarray, k1: np.ndarray, psi: BipartiteState
-) -> tuple[OrthogonalizationResult, np.ndarray, np.ndarray]:
-    """Mix a trace-preserving Kraus pair so the lifted states become orthogonal.
+def orthogonalize_kraus_pairs(
+    pairs: np.ndarray, coords: np.ndarray
+) -> tuple[OrthogonalizationResult, np.ndarray]:
+    """Mix trace-preserving Kraus pairs ``(B, 2, d, d)`` so their lifted states on ``coords`` become orthogonal.
 
     Writing phi_a for the lifted states, the overlap of the mixed pair
     vanishes iff z = e^{i xi} tan(theta) solves
@@ -235,49 +310,71 @@ def orthogonalize_kraus_pair(
     The root of smaller modulus is taken (tie: smaller principal argument);
     the two roots have reciprocal moduli, so the chosen rotation angle never
     exceeds pi/4 and the mixing matrix is well defined.  One overall phase is
-    free and fixed to zero, making the output deterministic.  Returns the
-    mixing data (with the worst root residual of the quadratic) plus the two
-    replacement Kraus matrices; the replacement channel acts identically to
-    the original.
+    free and fixed to zero, making the output deterministic.  An already
+    orthogonal pair is kept as it is.  Returns the mixing data (arrays over
+    the stack, with the worst root residual of each quadratic) and the
+    replacement pairs ``(B, 2, d, d)``; each replacement channel acts
+    identically to the original.
     """
     tol = tolerances.get()
-    k0 = as_matrix(k0)
-    k1 = as_matrix(k1)
-    d = psi.d
-    if k0.shape != (d, d) or k1.shape != (d, d):
-        raise ValueError("orthogonalize_kraus_pair: operator shapes do not match d")
-    if numerical_rank([k0.reshape(-1), k1.reshape(-1)]) < 2:
+    d = pairs.shape[-1]
+    if np.any(numerical_ranks(pairs.reshape(pairs.shape[:-2] + (d * d,))) < 2):
         raise ValueError("orthogonalize_kraus_pair: Kraus matrices are linearly dependent")
-    tp_defect = max_abs(dagger(k0) @ k0 + dagger(k1) @ k1 - np.eye(d))
+    tp_defect = max_abs(kraus_sums(pairs) - np.eye(d))
     if tp_defect > tol.unitarity:
         raise ValueError(
             f"orthogonalize_kraus_pair: pair is not trace-preserving (defect {tp_defect:g})"
         )
 
-    quadratic = orthogonality_roots(apply_local(k0, psi).coords, apply_local(k1, psi).coords)
-    if quadratic is None:
-        v = np.eye(2, dtype=complex)
-        result = OrthogonalizationResult(v=v, z=0.0 + 0.0j, theta=0.0, xi=0.0, residual=0.0)
-        return result, k0.copy(), k1.copy()
-    roots, residual = quadratic
-    if residual > tol.quadratic:
-        raise RuntimeError(f"orthogonalize_kraus_pair: root residual {residual:g}")
-    z = min(roots, key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
-
-    theta = math.atan(abs(z))
-    xi = math.atan2(z.imag, z.real)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    phase = complex(np.exp(1j * xi))
-    v = np.array(
-        [[cos_t, -np.conj(phase) * sin_t], [phase * sin_t, cos_t]], dtype=complex
+    phi = local_action(pairs, coords[..., None, :])
+    roots, residual, orthogonal = orthogonality_quadratics(phi[..., 0, :], phi[..., 1, :])
+    if residual.max() > tol.quadratic:
+        raise RuntimeError(f"orthogonalize_kraus_pair: root residual {residual.max():g}")
+    modulus, angle = np.abs(roots), np.arctan2(roots.imag, roots.real)
+    second = (modulus[..., 1] < modulus[..., 0]) | (
+        (modulus[..., 1] == modulus[..., 0]) & (angle[..., 1] < angle[..., 0])
     )
-    r0 = v[0, 0] * k0 + v[0, 1] * k1
-    r1 = v[1, 0] * k0 + v[1, 1] * k1
-    mixed_overlap = abs(np.vdot(apply_local(r0, psi).coords, apply_local(r1, psi).coords))
+    z = np.where(second, roots[..., 1], roots[..., 0])
+
+    theta = np.arctan(np.abs(z))
+    xi = np.arctan2(z.imag, z.real)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    phase = np.exp(1j * xi)
+    v = np.stack(
+        (np.stack((cos_t, -np.conj(phase) * sin_t), -1), np.stack((phase * sin_t, cos_t), -1)), -2
+    )
+    v[orthogonal] = np.eye(2)
+    k0, k1 = pairs[..., :1, :, :], pairs[..., 1:, :, :]
+    mixed = v[..., :, 0, None, None] * k0 + v[..., :, 1, None, None] * k1
+    mixed = np.where(orthogonal[..., None, None, None], pairs, mixed)
+    lifted = local_action(mixed, coords[..., None, :])
+    mixed_overlap = np.abs(_inner(lifted[..., 0, :], lifted[..., 1, :])).max()
     if mixed_overlap > tol.unitarity:
         raise RuntimeError(f"orthogonalize_kraus_pair: residual overlap {mixed_overlap:g}")
-    result = OrthogonalizationResult(v=v, z=complex(z), theta=theta, xi=xi, residual=residual)
-    return result, r0, r1
+    return OrthogonalizationResult(v=v, z=z, theta=theta, xi=xi, residual=residual), mixed
+
+
+def orthogonalize_kraus_pair(
+    k0: np.ndarray, k1: np.ndarray, psi: BipartiteState
+) -> tuple[OrthogonalizationResult, np.ndarray, np.ndarray]:
+    """Mix a trace-preserving Kraus pair so the lifted states become orthogonal.
+
+    The one-pair case of ``orthogonalize_kraus_pairs``.
+    """
+    k0 = as_matrix(k0)
+    k1 = as_matrix(k1)
+    d = psi.d
+    if k0.shape != (d, d) or k1.shape != (d, d):
+        raise ValueError("orthogonalize_kraus_pair: operator shapes do not match d")
+    res, mixed = orthogonalize_kraus_pairs(np.stack((k0, k1))[None], psi.coords[None])
+    result = OrthogonalizationResult(
+        v=res.v[0],
+        z=complex(res.z[0]),
+        theta=float(res.theta[0]),
+        xi=float(res.xi[0]),
+        residual=float(res.residual[0]),
+    )
+    return result, mixed[0, 0], mixed[0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +406,51 @@ class SupportContainmentReport:
 
 
 def support_projector(rho: np.ndarray) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue above the support cutoff."""
+    """Projector onto the span of eigenvectors with eigenvalue above the support cutoff.
+
+    ``rho`` may be a stack ``(..., n, n)``; the cutoff is the support
+    tolerance times each matrix's trace.
+    """
     tol = tolerances.get()
     w, v = hermitian_eigensystem(rho)
-    cutoff = tol.support * max(float(np.trace(np.asarray(rho)).real), 0.0)
-    cols = v[:, w > cutoff]
+    trace = np.trace(np.asarray(rho), axis1=-2, axis2=-1).real
+    cols = v * (w > tol.support * np.maximum(trace, 0.0)[..., None])[..., None, :]
     return cols @ dagger(cols)
+
+
+def containment_residuals(
+    kraus: np.ndarray, coords: np.ndarray, measurements: np.ndarray, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities and out-of-support residuals of measuring the dilation ancilla.
+
+    Stacked over channels: Kraus sets ``(B, n, d, d)``, states ``(B, d*d)``,
+    ancilla measurements ``(B, m, n, n)`` and one dilation seed each.  Each
+    channel is dilated with its seed, the dilation applied to the state, and
+    each measurement operator applied to the ancilla.  For every outcome the
+    reduced joint density operator is compared against the support projector
+    of the plain channel output; the residual is the max-modulus mass
+    outside that support (0.0 for an outcome of probability below the
+    equality tolerance).  Returns two ``(B, m)`` arrays.
+    """
+    tol = tolerances.get()
+    n_anc = kraus.shape[-3]
+    if measurements.shape[-2:] != (n_anc, n_anc):
+        raise ValueError("support_containment_check: measurement operator has wrong shape")
+    if max_abs(kraus_sums(measurements) - np.eye(n_anc)) > tol.unitarity:
+        raise ValueError("support_containment_check: incomplete measurement set")
+
+    joint = dilate(dilation_unitaries(kraus, seeds), coords)
+    proj = support_projector(apply_kraus(kraus, pure_densities(coords)))
+    complement = (np.eye(proj.shape[-1]) - proj)[:, None]
+
+    b, d2 = coords.shape
+    post = joint.reshape(b, 1, d2, n_anc) @ np.swapaxes(measurements, -1, -2)
+    rho = trace_out_ancilla_state(post.reshape(b, -1, d2 * n_anc), n_anc)
+    prob = np.trace(rho, axis1=-2, axis2=-1).real
+    seen = prob > tol.equality
+    scaled = rho / np.where(seen, prob, 1.0)[..., None, None]
+    residual = np.abs(complement @ scaled @ complement).max(axis=(-2, -1))
+    return prob, np.where(seen, residual, 0.0)
 
 
 def support_containment_check(
@@ -325,13 +461,8 @@ def support_containment_check(
 ) -> SupportContainmentReport:
     """Verify that measuring the ancilla keeps the joint state inside the channel support.
 
-    The channel is dilated with the given seed, the dilation applied to the
-    shared state, and each measurement operator applied to the ancilla.  For
-    every outcome the reduced joint density operator is compared against the
-    support projector of the plain channel output; the residual is the
-    max-modulus mass outside that support.
+    The one-channel case of ``containment_residuals``.
     """
-    tol = tolerances.get()
     n_anc = len(channel.kraus)
     ops = [as_matrix(m) for m in measurement]
     if not ops:
@@ -339,37 +470,30 @@ def support_containment_check(
     for m in ops:
         if m.shape != (n_anc, n_anc):
             raise ValueError("support_containment_check: measurement operator has wrong shape")
-    total = sum(dagger(m) @ m for m in ops)
-    if max_abs(total - np.eye(n_anc)) > tol.unitarity:
-        raise ValueError("support_containment_check: incomplete measurement set")
-
-    dilation = dilation_unitary(channel, seed)
-    joint = apply_dilation(dilation, psi)
-    sigma = apply_channel(channel, psi.density())
-    proj = support_projector(sigma)
-    complement = np.eye(proj.shape[0]) - proj
-
-    d2 = psi.d * psi.d
-    outcomes = []
-    for y, m in enumerate(ops):
-        post = (joint.reshape(d2, n_anc) @ m.T).reshape(-1)
-        rho_y = trace_out_ancilla_state(post, n_anc)
-        prob = float(np.trace(rho_y).real)
-        if prob > tol.equality:
-            residual = max_abs(complement @ (rho_y / prob) @ complement)
-        else:
-            residual = 0.0
-        outcomes.append(ContainmentOutcome(outcome=y, probability=prob, residual=residual))
-    max_residual = max(o.residual for o in outcomes)
+    prob, residual = containment_residuals(
+        channel.stacked()[None], psi.coords[None], np.stack(ops)[None], [seed]
+    )
+    outcomes = tuple(
+        ContainmentOutcome(outcome=y, probability=float(p), residual=float(r))
+        for y, (p, r) in enumerate(zip(prob[0], residual[0]))
+    )
+    max_residual = float(residual.max())
     return SupportContainmentReport(
-        outcomes=tuple(outcomes),
+        outcomes=outcomes,
         max_residual=max_residual,
-        passed=max_residual < tol.containment,
+        passed=max_residual < tolerances.get().containment,
     )
 
 
+def random_trace_preserving_kraus(d: int, n_kraus: int, seeds) -> np.ndarray:
+    """Seeded random trace-preserving Kraus sets ``(len(seeds), n_kraus, d, d)``.
+
+    Slices of a random dilation unitary: K_r[i, j] = u[i * n_kraus + r, j].
+    """
+    u = random_unitaries(d * n_kraus, seeds)
+    return u[:, :, :d].reshape(-1, d, n_kraus, d).transpose(0, 2, 1, 3)
+
+
 def random_trace_preserving_channel(d: int, n_kraus: int, seed: int) -> QuantumChannel:
-    """Seeded random trace-preserving channel (slices of a random dilation unitary)."""
-    # K_r[i, j] = u[i * n_kraus + r, j]
-    slices = random_unitary(d * n_kraus, seed)[:, :d].reshape(d, n_kraus, d)
-    return QuantumChannel(d=d, kraus=tuple(slices[:, r, :] for r in range(n_kraus)))
+    """Seeded random trace-preserving channel (``random_trace_preserving_kraus`` of one seed)."""
+    return QuantumChannel(d=d, kraus=tuple(random_trace_preserving_kraus(d, n_kraus, [seed])[0]))

@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances
 from .linalg import as_matrix, dagger, max_abs, rng_from, unitarity_defect
 from .serialize import SCHEMA, matrix_from_json, matrix_to_json
-from .states import BipartiteState, SchmidtSpectrum, apply_local, make_schmidt_state
+from .states import BipartiteState, SchmidtSpectrum, local_action, make_schmidt_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,18 +52,26 @@ class DistinguishabilityCertificate:
     passed: bool
 
 
+def lift_messages(messages: UnitaryMessageSet, psi: BipartiteState) -> np.ndarray:
+    """Lifted message states ``(count, d*d)``: row k is U_k on Alice's side of ``psi``."""
+    if messages.d != psi.d:
+        raise ValueError("certify_distinguishable: dimension mismatch")
+    return local_action(np.stack(messages.unitaries), psi.coords)
+
+
+def certify_lifted(lifted: np.ndarray) -> DistinguishabilityCertificate:
+    """Gram-test lifted message states (rows of ``lifted``) for orthonormality."""
+    defect = max_abs(lifted.conj() @ lifted.T - np.eye(len(lifted)))
+    return DistinguishabilityCertificate(
+        gram_defect=float(defect), passed=bool(defect < tolerances.get().certificate)
+    )
+
+
 def certify_distinguishable(
     messages: UnitaryMessageSet, psi: BipartiteState
 ) -> DistinguishabilityCertificate:
     """Gram-test the lifted message states for orthonormality."""
-    if messages.d != psi.d:
-        raise ValueError("certify_distinguishable: dimension mismatch")
-    lifted = [apply_local(u, psi).coords for u in messages.unitaries]
-    g = np.array(lifted).conj() @ np.array(lifted).T
-    defect = max_abs(g - np.eye(len(lifted)))
-    return DistinguishabilityCertificate(
-        gram_defect=float(defect), passed=bool(defect < tolerances.get().certificate)
-    )
+    return certify_lifted(lift_messages(messages, psi))
 
 
 def capacity_bound_check(spectrum: SchmidtSpectrum, count: int) -> bool:

@@ -1,9 +1,11 @@
 """Dense complex matrix kernel for small dimensions.
 
-Products, adjoints, Kronecker products and Hermitian eigensystems defer to
-numpy (LAPACK) on complex128 arrays (pairs of double-precision reals), and so
-do seeded random unitaries (one QR of a complex-Gaussian draw).  The pieces
-with bespoke numerics live here: seeded unitary completion by modified
+Products, adjoints and Hermitian eigensystems defer to numpy (LAPACK) on
+complex128 arrays (pairs of double-precision reals), and so do seeded random
+unitaries (one QR of a complex-Gaussian draw).  Eigensystems, ranks and
+random unitaries work on stacks of matrices (leading axes), and the
+single-matrix call is the one-item case of the stacked one.  The pieces with
+bespoke numerics live here: seeded unitary completion by modified
 Gram-Schmidt, kept because protocol bundles print its columns at full
 precision, and square roots of positive diagonal matrices.  All functions
 are pure; randomized ones take explicit seeds and are reproducible bit for
@@ -12,7 +14,7 @@ bit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,12 +33,20 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def as_matrix(a) -> np.ndarray:
+def as_matrices(a) -> np.ndarray:
+    """A matrix, or a stack of matrices ``(..., m, n)``, as a finite complex array."""
     m = np.asarray(a, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    m = as_matrices(a)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
     return m
 
 
@@ -58,11 +68,6 @@ def max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; entry ((i*p+k), (j*q+l)) is a[i,j] * b[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def gram(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Gram matrix of a vector collection, conjugate-linear in the first slot."""
     vecs = [as_vector(v) for v in vectors]
@@ -76,12 +81,13 @@ def gram(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    m = as_matrix(m)
-    return max_abs(dagger(m) @ m - np.eye(m.shape[1]))
+    """Max-modulus distance of m^dag m from the identity (the worst over a stack)."""
+    m = as_matrices(m)
+    return max_abs(dagger(m) @ m - np.eye(m.shape[-1]))
 
 
 def complete_to_unitary(
-    columns: Iterable[np.ndarray], seed: int, *, dim: int | None = None
+    columns: Sequence[np.ndarray] | np.ndarray, seed: int, *, dim: int | None = None
 ) -> np.ndarray:
     """Extend orthonormal columns to a square unitary matrix.
 
@@ -103,21 +109,26 @@ def complete_to_unitary(
     ValueError : columns not orthonormal within tolerance, or too many.
     """
     tol = tolerances.get()
-    cols = [as_vector(c) for c in columns]
-    if cols:
-        n = cols[0].size if dim is None else int(dim)
-    elif dim is None:
-        raise ValueError("complete_to_unitary: dim required when no columns given")
-    else:
-        n = int(dim)
+    # Contiguous rows: the Gram-Schmidt products below see the same memory
+    # layout whatever the caller passed.
+    cols = np.ascontiguousarray(columns, dtype=complex)
+    if cols.size == 0:
+        if dim is None:
+            raise ValueError("complete_to_unitary: dim required when no columns given")
+        cols = cols.reshape(0, int(dim))
+    elif cols.ndim != 2:
+        raise ValueError("complete_to_unitary: columns must be vectors of one dimension")
+    if not np.isfinite(cols).all():
+        raise ValueError("complete_to_unitary: columns have non-finite entries")
+    n = cols.shape[1] if dim is None else int(dim)
     if len(cols) > n:
         raise ValueError(f"complete_to_unitary: {len(cols)} columns exceed dimension {n}")
-    if any(c.size != n for c in cols):
+    if cols.shape[1] != n:
         raise ValueError("complete_to_unitary: column dimensions disagree")
-    if cols and max_abs(gram(cols) - np.eye(len(cols))) > tol.unitarity:
+    if max_abs(cols.conj() @ cols.T - np.eye(len(cols))) > tol.unitarity:
         raise ValueError("complete_to_unitary: input columns are not orthonormal")
 
-    basis = [c.copy() for c in cols]
+    basis = list(cols)  # the inputs' exact rows become the leading columns
     rng = rng_from(seed)
     while len(basis) < n:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -132,40 +143,44 @@ def complete_to_unitary(
     defect = unitarity_defect(m)
     if defect > tol.unitarity:
         raise RuntimeError(f"complete_to_unitary: completion defect {defect:g}")
-    for k, c in enumerate(cols):
-        m[:, k] = c  # bit-exact reproduction of the inputs
     return m
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
+    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix, or of each in a stack.
 
     LAPACK (``np.linalg.eigh``) on the symmetrised input.  Returns ``(w, v)``
     with ``v`` unitary, columns ordered to match ``w``.
     """
-    a = as_matrix(h)
-    if a.shape[1] != a.shape[0]:
+    a = as_matrices(h)
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError("hermitian_eigensystem: matrix is not square")
     if max_abs(a - dagger(a)) > tolerances.get().unitarity:
         raise ValueError("hermitian_eigensystem: matrix is not Hermitian")
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
+    """Real eigenvalues of a Hermitian matrix, or of each in a stack, descending."""
     w, _ = hermitian_eigensystem(h)
     return w
 
 
-def numerical_rank(vectors: Sequence[np.ndarray]) -> int:
-    """Dimension of the span of a vector collection.
+def numerical_ranks(vectors: np.ndarray) -> np.ndarray:
+    """Dimension of the span of each vector collection in a stack ``(..., count, n)``.
 
-    Gram eigenvalues at or below the ``rank`` tolerance times the largest
-    count as zero.
+    The rows of the last two axes are one collection.  Gram eigenvalues at
+    or below the ``rank`` tolerance times the largest count as zero.
     """
-    eigs = hermitian_eigenvalues(gram(vectors))
-    return int(np.sum(eigs > tolerances.get().rank * eigs[0]))
+    v = as_matrices(vectors)
+    eigs = hermitian_eigenvalues(v.conj() @ np.swapaxes(v, -1, -2))
+    return np.sum(eigs > tolerances.get().rank * eigs[..., :1], axis=-1)
+
+
+def numerical_rank(vectors: Sequence[np.ndarray]) -> int:
+    """Dimension of the span of one vector collection (``numerical_ranks`` of one)."""
+    return int(numerical_ranks([as_vector(v) for v in vectors]))
 
 
 def sqrt_psd_diagonal(h: np.ndarray) -> np.ndarray:
@@ -192,20 +207,26 @@ def sqrt_psd_diagonal(h: np.ndarray) -> np.ndarray:
     return np.diag(np.sqrt(values)).astype(complex)
 
 
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-random unitary: the phase-fixed Q factor of a Ginibre draw.
+def random_unitaries(n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Seeded Haar-random unitaries, one per seed: phase-fixed Q factors of Ginibre draws.
 
-    Column k of the draw is the same complex-Gaussian vector that
+    Column k of a draw is the same complex-Gaussian vector that
     ``complete_to_unitary((), seed, dim=n)`` draws for its column k; one
-    LAPACK QR replaces the Gram-Schmidt loop, and dividing the phases of R's
-    diagonal out of Q makes that diagonal positive, as in Gram-Schmidt
-    (Mezzadri, Notices AMS 54, 2007).  The two agree to rounding.
+    stacked LAPACK QR replaces the Gram-Schmidt loop, and dividing the phases
+    of R's diagonal out of Q makes that diagonal positive, as in Gram-Schmidt
+    (Mezzadri, Notices AMS 54, 2007).  The two agree to rounding.  Returns
+    ``(len(seeds), n, n)``.
     """
-    draws = rng_from(seed).standard_normal((n, 2, n))
-    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]).T)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    draws = np.array([rng_from(seed).standard_normal((n, 2, n)) for seed in seeds])
+    q, r = np.linalg.qr(np.swapaxes(draws[:, :, 0] + 1j * draws[:, :, 1], -1, -2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, None, :]
     defect = unitarity_defect(q)
     if not defect <= tolerances.get().unitarity:  # also refuses NaN from a zero pivot
         raise RuntimeError(f"random_unitary: defect {defect:g}")
     return q
+
+
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """Seeded Haar-random unitary (``random_unitaries`` of one seed)."""
+    return random_unitaries(n, [seed])[0]

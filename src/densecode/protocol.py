@@ -27,10 +27,10 @@ from .channels import (
     dilation_unitary,
     trace_out_ancilla_state,
 )
-from .encoding import UnitaryMessageSet, certify_distinguishable, weyl_set
+from .encoding import UnitaryMessageSet, certify_lifted, lift_messages, weyl_set
 from .linalg import complete_to_unitary, dagger, max_abs, rng_from, sqrt_psd_diagonal
 from .serialize import SCHEMA, matrix_to_json, sig15, vector_to_json
-from .states import SchmidtSpectrum, apply_local, make_schmidt_state
+from .states import SchmidtSpectrum, local_action, make_schmidt_state
 
 VARIANT_MEASURE = "with-ancilla-measurement"
 VARIANT_NO_MEASURE = "without-ancilla-measurement"
@@ -144,7 +144,8 @@ def build_bundle(
         raise BundleError(f"need exactly d^2-2 = {d*d-2} messages, got {len(messages)}")
 
     psi = make_schmidt_state(spectrum)
-    cert = certify_distinguishable(messages, psi)
+    lifted = _frozen(lift_messages(messages, psi))
+    cert = certify_lifted(lifted)
     if not cert.passed:
         raise BundleError(
             f"distinguishability certificate fails (defect {cert.gram_defect:g})",
@@ -158,7 +159,6 @@ def build_bundle(
     r = compute_R(spectrum)
     lam = np.asarray(spectrum.lambdas)
 
-    lifted = _frozen([apply_local(u, psi).coords for u in messages.unitaries])
     m = complete_to_unitary(lifted, seed)
     v = m[:, -2].copy()
     w = m[:, -1].copy()
@@ -185,7 +185,7 @@ def build_bundle(
     overshoot = gamma - d * d * (lam - lam[-1]) / (2.0 * lam)
     defects["gamma_overestimate"] = max(0.0, float(np.max(overshoot)))
 
-    branches = _frozen([apply_local(k, psi).coords for k in (t, y, c)])
+    branches = _frozen(local_action(np.stack((t, y, c)), psi.coords))
     p_t, p_y, p_c = (float(np.linalg.norm(b) ** 2) for b in branches)
     p1 = float(np.sum(lam * gamma))
     expected_tail = float(lam[-1] / r[-1])

@@ -4,7 +4,8 @@ Basis convention for the joint space: the product basis |ij> (i on Alice's
 side, j on Bob's) is listed in d groups of d elements, Bob's index selecting
 the group, so coordinate (i, j) lives at flat index j*d + i.  With this
 ordering the coordinate vector of a lifted operator (A on Alice, identity on
-Bob) is obtained by a plain row-wise matrix product.
+Bob) is obtained by a plain row-wise matrix product.  Spectrum validation,
+Schmidt coordinates and local action also work on stacks (leading axes).
 """
 
 from __future__ import annotations
@@ -37,20 +38,11 @@ class SchmidtSpectrum:
     exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        tol = tolerances.get()
         if self.d < 2:
             raise ValueError("SchmidtSpectrum: qudit dimension must be >= 2")
         if len(self.lambdas) != self.d:
             raise ValueError("SchmidtSpectrum: need exactly d coefficients")
-        lam = np.asarray(self.lambdas, dtype=float)
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("SchmidtSpectrum: non-finite coefficient")
-        if abs(float(lam.sum()) - 1.0) > tol.equality:
-            raise ValueError(f"SchmidtSpectrum: coefficients sum to {lam.sum()!r}, not 1")
-        if np.any(lam <= 0.0):
-            raise ValueError("SchmidtSpectrum: all coefficients must be positive")
-        if np.any(np.diff(lam) > 0.0):
-            raise ValueError("SchmidtSpectrum: coefficients must be descending")
+        validate_spectra(np.asarray(self.lambdas, dtype=float))
         if self.exact is not None and len(self.exact) != self.d:
             raise ValueError("SchmidtSpectrum: exact values do not match d")
 
@@ -62,6 +54,23 @@ class SchmidtSpectrum:
         lambdas = tuple(vals[k] for k in order)
         ex = tuple(exact[k] for k in order) if exact is not None else None
         return cls(d=len(vals), lambdas=lambdas, exact=ex)
+
+
+def validate_spectra(lam: np.ndarray) -> None:
+    """Refuse spectra ``(..., d)`` unless each is finite, positive, descending and sums to one.
+
+    The sum is checked within the equality tolerance.
+    """
+    if not np.isfinite(lam).all():
+        raise ValueError("SchmidtSpectrum: non-finite coefficient")
+    sums = lam.sum(axis=-1)
+    off = np.abs(sums - 1.0) > tolerances.get().equality
+    if off.any():
+        raise ValueError(f"SchmidtSpectrum: coefficients sum to {sums[off].flat[0]!r}, not 1")
+    if np.any(lam <= 0.0):
+        raise ValueError("SchmidtSpectrum: all coefficients must be positive")
+    if np.any(np.diff(lam, axis=-1) > 0.0):
+        raise ValueError("SchmidtSpectrum: coefficients must be descending")
 
 
 def uniform_spectrum(d: int) -> SchmidtSpectrum:
@@ -112,23 +121,39 @@ class BipartiteState:
         return float(np.linalg.norm(self.coords))
 
     def density(self) -> np.ndarray:
-        return np.outer(self.coords, self.coords.conj())
+        return pure_densities(self.coords)
+
+
+def pure_densities(coords: np.ndarray) -> np.ndarray:
+    """|psi><psi| for each state vector of a stack ``(..., n)``."""
+    return coords[..., :, None] * coords.conj()[..., None, :]
+
+
+def schmidt_coords(lam: np.ndarray) -> np.ndarray:
+    """Coordinates of the shared state for each spectrum row of ``lam`` ``(..., d)``.
+
+    Coordinate sqrt(lambda_j) at (j, j), zero elsewhere; no validation.
+    """
+    d = lam.shape[-1]
+    coords = np.zeros(lam.shape[:-1] + (d * d,), dtype=complex)
+    coords[..., :: d + 1] = np.sqrt(lam)  # flat index of (j, j) is j * (d + 1)
+    return coords
 
 
 def make_schmidt_state(spectrum: SchmidtSpectrum) -> BipartiteState:
     """The shared state: coordinate sqrt(lambda_j) at (j, j), zero elsewhere."""
-    d = spectrum.d
-    coords = np.zeros(d * d, dtype=complex)
-    for j, lam in enumerate(spectrum.lambdas):
-        coords[basis_index(j, j, d)] = np.sqrt(lam)
-    return BipartiteState(d=d, coords=coords)
+    return BipartiteState(d=spectrum.d, coords=schmidt_coords(np.asarray(spectrum.lambdas)))
 
 
-def spectrum_of(state: BipartiteState) -> SchmidtSpectrum:
-    """Read a spectrum back off a Schmidt-diagonal state (squared amplitudes at (j, j))."""
-    d = state.d
-    lam = [abs(state.coords[basis_index(j, j, d)]) ** 2 for j in range(d)]
-    return SchmidtSpectrum.from_values(lam)
+def local_action(ops: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Coordinates of ``ops`` ``(..., d, d)`` acting on Alice's side of ``coords`` ``(..., d*d)``.
+
+    Leading axes broadcast; no validation.  On a Schmidt state each output
+    entry is one product sqrt(lambda_j) * A[i, j], so the result is exact.
+    """
+    d = ops.shape[-1]
+    out = coords.reshape(coords.shape[:-1] + (d, d)) @ np.swapaxes(ops, -1, -2)
+    return out.reshape(out.shape[:-2] + (d * d,))
 
 
 def apply_local(a: np.ndarray, psi: BipartiteState) -> BipartiteState:
@@ -137,8 +162,7 @@ def apply_local(a: np.ndarray, psi: BipartiteState) -> BipartiteState:
     d = psi.d
     if a.shape != (d, d):
         raise ValueError(f"apply_local: operator shape {a.shape} does not match d={d}")
-    out = (psi.coords.reshape(d, d) @ a.T).reshape(-1)
-    return BipartiteState(d=d, coords=out)
+    return BipartiteState(d=d, coords=local_action(a, psi.coords))
 
 
 def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int) -> np.ndarray:

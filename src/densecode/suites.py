@@ -3,30 +3,40 @@
 Each suite runs a seeded batch of configurations through one subsystem and
 reports named worst-case defects.  The same functions back the acceptance
 tests, so the CLI and the test suite certify identical properties.
+
+A suite works in two steps.  It first draws every configuration's inputs in
+a plain loop, configuration k from its own stream ``rng_from(seed, k)`` and
+seeds ``seed + 1000 + k`` and so on.  It then groups the configurations by
+shape and runs every gate once per group on stacked arrays.  Only the
+dilation's Gram-Schmidt completion runs per configuration.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tolerances
 from .analysis import CASE_I, CASE_II, uniformity_witness, verify_necessary_identities, weyl_witness
 from .channels import (
-    QuantumChannel,
-    apply_channel,
-    apply_dilation,
-    dilation_unitary,
-    kraus_rank,
-    lifted_kraus_states,
-    orthogonalize_kraus_pair,
-    random_trace_preserving_channel,
-    support_containment_check,
+    apply_kraus,
+    containment_residuals,
+    dilate,
+    dilation_unitaries,
+    kraus_ranks,
+    kraus_sums,
+    lifted_kraus,
+    orthogonalize_kraus_pairs,
+    random_trace_preserving_kraus,
     trace_out_ancilla_state,
+    validate_kraus,
 )
-from .linalg import hermitian_eigensystem, max_abs, numerical_rank, rng_from
-from .states import SchmidtSpectrum, apply_local, make_schmidt_state
+from .linalg import dagger, hermitian_eigenvalues, max_abs, numerical_ranks, rng_from
+from .states import SchmidtSpectrum, local_action, pure_densities, schmidt_coords, validate_spectra
 
 
 @dataclass(frozen=True)
@@ -60,16 +70,73 @@ class SuiteReport:
         }
 
 
+class Config(NamedTuple):
+    """One drawn configuration of a suite."""
+
+    k: int                            # index: selects the stream and the seed offsets
+    d: int
+    n: int                            # Kraus count (collection size in the independence suite)
+    lam: np.ndarray                   # Schmidt spectrum, descending
+    gauss: np.ndarray | None = None   # the suite's own Gaussian draws, if any
+    outcomes: int = 0                 # ancilla measurement outcomes (containment suite)
+
+
+def spectrum_values(d: int, rng: np.random.Generator, floor: float = 0.05) -> np.ndarray:
+    """Random full-support spectrum values (floored uniforms, normalized, descending)."""
+    raw = rng.random(d) + floor
+    return -np.sort(-(raw / raw.sum()))
+
+
 def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:
     """Random full-support spectrum (floored uniforms, normalized, sorted)."""
-    raw = rng.random(d) + floor
-    return SchmidtSpectrum.from_values(raw / raw.sum())
+    return SchmidtSpectrum.from_values(spectrum_values(d, rng, floor))
+
+
+def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """Unit-trace g g^dag for each matrix of a stack."""
+    rho = g @ dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _densities(_ginibre((n, n), rng))
+
+
+def _groups(configs: list[Config], key: Callable[[Config], Hashable]):
+    """Configurations grouped by ``key``, in order of first appearance."""
+    groups: dict[Hashable, list[Config]] = defaultdict(list)
+    for c in configs:
+        groups[key(c)].append(c)
+    return groups.items()
+
+
+def _states(group: list[Config]) -> np.ndarray:
+    """Validated spectra of a group as stacked Schmidt-state coordinates."""
+    lam = np.stack([c.lam for c in group])
+    validate_spectra(lam)
+    return schmidt_coords(lam)
+
+
+def _channels(d: int, n_kraus: int, seeds: list[int]) -> np.ndarray:
+    """Validated random trace-preserving Kraus sets, one per seed."""
+    kraus = random_trace_preserving_kraus(d, n_kraus, seeds)
+    validate_kraus(kraus)
+    return kraus
+
+
+def draw_dilation(seed: int, configs: int) -> list[Config]:
+    """Configurations of ``dilation_suite``: dimension and Kraus count in {2, 3}, then the spectrum."""
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        d = int(rng.integers(2, 4))
+        n_kraus = int(rng.integers(2, 4))
+        out.append(Config(k, d, n_kraus, spectrum_values(d, rng)))
+    return out
 
 
 def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
@@ -77,19 +144,13 @@ def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
     tol = tolerances.get()
     worst_unitarity = 0.0
     worst_agreement = 0.0
-    for k in range(configs):
-        rng = rng_from(seed, k)
-        d = int(rng.integers(2, 4))
-        n_kraus = int(rng.integers(2, 4))
-        channel = random_trace_preserving_channel(d, n_kraus, seed + 1000 + k)
-        spectrum = random_spectrum(d, rng)
-        psi = make_schmidt_state(spectrum)
-        dil = dilation_unitary(channel, seed + 2000 + k)
-        m = dil.u_tilde
-        worst_unitarity = max(worst_unitarity, max_abs(m.conj().T @ m - np.eye(m.shape[0])))
-        joint = apply_dilation(dil, psi)
-        reduced = trace_out_ancilla_state(joint, dil.ancilla_dim)
-        direct = apply_channel(channel, psi.density())
+    for (d, n_kraus), group in _groups(draw_dilation(seed, configs), lambda c: (c.d, c.n)):
+        kraus = _channels(d, n_kraus, [seed + 1000 + c.k for c in group])
+        psi = _states(group)
+        u = dilation_unitaries(kraus, [seed + 2000 + c.k for c in group])
+        worst_unitarity = max(worst_unitarity, max_abs(dagger(u) @ u - np.eye(d * n_kraus)))
+        reduced = trace_out_ancilla_state(dilate(u, psi), n_kraus)
+        direct = apply_kraus(kraus, pure_densities(psi))
         worst_agreement = max(worst_agreement, max_abs(reduced - direct))
     return SuiteReport(
         suite="dilation",
@@ -100,30 +161,36 @@ def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
     )
 
 
+def draw_orthogonalize(seed: int, configs: int) -> list[Config]:
+    """Configurations of ``orthogonalize_suite``: d cycles 2, 3, 4; spectrum, then a density factor."""
+    dims = (2, 3, 4)
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        d = dims[k % len(dims)]
+        lam = spectrum_values(d, rng)
+        out.append(Config(k, d, 2, lam, gauss=_ginibre((d * d, d * d), rng)))
+    return out
+
+
 def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
     """Random two-element trace-preserving pairs orthogonalized on random states."""
     tol = tolerances.get()
     worst_overlap = 0.0
     worst_action = 0.0
     worst_residual = 0.0
-    dims = (2, 3, 4)
-    for k in range(configs):
-        rng = rng_from(seed, k)
-        d = dims[k % len(dims)]
-        channel = random_trace_preserving_channel(d, 2, seed + 3000 + k)
-        k0, k1 = channel.kraus
-        spectrum = random_spectrum(d, rng)
-        psi = make_schmidt_state(spectrum)
-        result, r0, r1 = orthogonalize_kraus_pair(k0, k1, psi)
-        phi0 = apply_local(r0, psi).coords
-        phi1 = apply_local(r1, psi).coords
-        worst_overlap = max(worst_overlap, abs(np.vdot(phi0, phi1)))
-        rho = random_density(d * d, rng)
-        before = apply_channel(channel, rho)
-        after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
-        worst_action = max(worst_action, max_abs(before - after))
+    for d, group in _groups(draw_orthogonalize(seed, configs), lambda c: c.d):
+        kraus = _channels(d, 2, [seed + 3000 + c.k for c in group])
+        psi = _states(group)
+        result, mixed = orthogonalize_kraus_pairs(kraus, psi)
+        phi = local_action(mixed, psi[:, None])
+        overlap = np.einsum("bi,bi->b", phi[:, 0].conj(), phi[:, 1])
+        worst_overlap = max(worst_overlap, max_abs(overlap))
+        validate_kraus(mixed)
+        rho = _densities(np.stack([c.gauss for c in group]))
+        worst_action = max(worst_action, max_abs(apply_kraus(kraus, rho) - apply_kraus(mixed, rho)))
         # Both quadratic roots must satisfy the orthogonality equation.
-        worst_residual = max(worst_residual, result.residual)
+        worst_residual = max(worst_residual, float(result.residual.max()))
     return SuiteReport(
         suite="orthogonalize",
         checks=(
@@ -134,33 +201,35 @@ def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
     )
 
 
-def random_kraus_collection(d: int, size: int, rng: np.random.Generator) -> QuantumChannel:
-    """Random linearly independent Kraus matrices, scaled under the completeness bound."""
-    kraus = [
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(size)
-    ]
-    total = sum(k.conj().T @ k for k in kraus)
-    top, _ = hermitian_eigensystem(total)
-    scale = 0.9 / np.sqrt(top[0])
-    return QuantumChannel(d=d, kraus=tuple(scale * k for k in kraus))
-
-
-def independence_suite(seed: int, configs: int = 100) -> SuiteReport:
-    """Lifting preserves linear independence: Gram rank equals collection size."""
-    mismatches = 0
+def draw_independence(seed: int, configs: int) -> list[Config]:
+    """Configurations of ``independence_suite``: d and size in 2..4, the collection, then the spectrum."""
+    out = []
     for k in range(configs):
         rng = rng_from(seed, k)
         d = int(rng.integers(2, 5))
         size = int(rng.integers(2, 5))
-        channel = random_kraus_collection(d, size, rng)
-        if kraus_rank(channel) != size:
-            mismatches += 1  # dependent draw has probability zero
-            continue
-        spectrum = random_spectrum(d, rng)
-        psi = make_schmidt_state(spectrum)
-        lifted = lifted_kraus_states(channel, psi)
-        if numerical_rank([s.coords for s in lifted]) != size:
-            mismatches += 1
+        gauss = np.stack([_ginibre((d, d), rng) for _ in range(size)])
+        out.append(Config(k, d, size, spectrum_values(d, rng), gauss=gauss))
+    return out
+
+
+def independence_suite(seed: int, configs: int = 100) -> SuiteReport:
+    """Lifting preserves linear independence: Gram rank equals collection size.
+
+    Each collection is its Gaussian draws scaled so that sum K^dag K has top
+    eigenvalue 0.9.  A collection counts as a mismatch when its Kraus rank or
+    its lifted Gram rank differs from its size (a dependent draw has
+    probability zero).
+    """
+    mismatches = 0
+    for (d, size), group in _groups(draw_independence(seed, configs), lambda c: (c.d, c.n)):
+        raw = np.stack([c.gauss for c in group])
+        top = hermitian_eigenvalues(kraus_sums(raw))[:, 0]
+        kraus = (0.9 / np.sqrt(top))[:, None, None, None] * raw
+        validate_kraus(kraus)
+        psi = _states(group)
+        lifted_rank = numerical_ranks(lifted_kraus(kraus, psi))
+        mismatches += int(np.sum((kraus_ranks(kraus) != size) | (lifted_rank != size)))
     return SuiteReport(
         suite="independence",
         checks=(Check("lifted-gram-rank-mismatches", float(mismatches), 0.0),),
@@ -199,20 +268,30 @@ def identities_suite(d: int = 2) -> SuiteReport:
     )
 
 
+def draw_containment(seed: int, configs: int) -> list[Config]:
+    """Configurations of ``containment_suite``: a d=2 spectrum, then 2 or 3 measurement outcomes."""
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        lam = spectrum_values(2, rng)
+        out.append(Config(k, 2, 3, lam, outcomes=int(rng.integers(2, 4))))
+    return out
+
+
 def containment_suite(seed: int, configs: int = 50) -> SuiteReport:
     """Ancilla measurements never steer outside the channel output support."""
     tol = tolerances.get()
     worst = 0.0
-    for k in range(configs):
-        rng = rng_from(seed, k)
-        d, n_kraus = 2, 3
-        channel = random_trace_preserving_channel(d, n_kraus, seed + 4000 + k)
-        spectrum = random_spectrum(d, rng)
-        psi = make_schmidt_state(spectrum)
-        n_outcomes = int(rng.integers(2, 4))
-        measurement = random_trace_preserving_channel(n_kraus, n_outcomes, seed + 5000 + k).kraus
-        report = support_containment_check(channel, psi, measurement, seed + 6000 + k)
-        worst = max(worst, report.max_residual)
+    for (d, n_kraus, n_outcomes), group in _groups(
+        draw_containment(seed, configs), lambda c: (c.d, c.n, c.outcomes)
+    ):
+        kraus = _channels(d, n_kraus, [seed + 4000 + c.k for c in group])
+        psi = _states(group)
+        measurements = _channels(n_kraus, n_outcomes, [seed + 5000 + c.k for c in group])
+        _, residual = containment_residuals(
+            kraus, psi, measurements, [seed + 6000 + c.k for c in group]
+        )
+        worst = max(worst, float(residual.max()))
     return SuiteReport(
         suite="containment",
         checks=(Check("containment-residual", worst, tol.containment),),

@@ -34,6 +34,11 @@ class Tolerances:
 
 NAMES = tuple(f.name for f in fields(Tolerances))
 
+# A Kraus pair whose lifted overlap |<phi_0|phi_1>| is below this is already
+# orthogonal and is left unmixed.  A module constant, not a ``Tolerances``
+# field: it selects a branch rather than gating a defect.
+ALREADY_ORTHOGONAL = 1e-13
+
 _active = Tolerances()
 
 

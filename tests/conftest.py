@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from densecode.linalg import as_matrix
 from densecode.protocol import build_bundle, build_decoder, default_messages
-from densecode.states import parse_spectrum
+from densecode.states import SchmidtSpectrum, basis_index, parse_spectrum
 
 SEED = 0x5EED_D0DE
 
@@ -27,6 +28,18 @@ EXAMPLE_M = np.array(
 EXAMPLE_T = np.array([[79 / 162, -0.5], [79 / 162, -0.5]], dtype=complex)
 EXAMPLE_Y = np.array([[79 / 162, 0.5], [-79 / 162, -0.5]], dtype=complex)
 EXAMPLE_C = np.diag([np.sqrt(320 / 6561), 0.0]).astype(complex)
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product oracle; entry ((i*p+k), (j*q+l)) is a[i,j] * b[k,l]."""
+    return np.kron(as_matrix(a), as_matrix(b))
+
+
+def spectrum_of(state) -> SchmidtSpectrum:
+    """Read a spectrum back off a Schmidt-diagonal state (squared amplitudes at (j, j))."""
+    d = state.d
+    lam = [abs(state.coords[basis_index(j, j, d)]) ** 2 for j in range(d)]
+    return SchmidtSpectrum.from_values(lam)
 
 
 @pytest.fixture(scope="session")

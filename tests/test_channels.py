@@ -8,13 +8,19 @@ from densecode.channels import (
     QuantumChannel,
     apply_channel,
     apply_dilation,
+    apply_kraus,
+    containment_residuals,
     dilated_state,
+    dilation_unitaries,
     dilation_unitary,
     kraus_rank,
+    kraus_ranks,
     lifted_kraus_states,
     orthogonality_roots,
     orthogonalize_kraus_pair,
+    orthogonalize_kraus_pairs,
     random_trace_preserving_channel,
+    random_trace_preserving_kraus,
     support_containment_check,
     support_projector,
     trace_out_ancilla_state,
@@ -32,7 +38,9 @@ from densecode.states import (
     BipartiteState,
     SchmidtSpectrum,
     apply_local,
+    local_action,
     make_schmidt_state,
+    schmidt_coords,
     uniform_spectrum,
 )
 from densecode.suites import random_density, random_spectrum
@@ -417,3 +425,73 @@ def test_containment_rejects_incomplete_measurement(example_spectrum):
         support_containment_check(
             example_channel(), psi, [np.diag([1.0, 1.0, 0.0])], seed=1
         )
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels: the per-channel functions are their one-item cases
+# ---------------------------------------------------------------------------
+
+def stacked_pairs(d, seeds, spectra):
+    kraus = random_trace_preserving_kraus(d, 2, seeds)
+    coords = schmidt_coords(np.array([s.lambdas for s in spectra]))
+    return kraus, coords
+
+
+def test_orthogonalize_kraus_pair_is_a_stacked_slice():
+    for d in (2, 3, 4):
+        spectra = [random_spectrum(d, rng_from(80 + d, k)) for k in range(5)]
+        kraus, coords = stacked_pairs(d, [81 + 10 * d + k for k in range(5)], spectra)
+        if d == 2:  # one pair that is already orthogonal on its state
+            kraus[1] = np.stack((I2, X)) / np.sqrt(2.0)
+            coords[1] = make_schmidt_state(uniform_spectrum(2)).coords
+        res, mixed = orthogonalize_kraus_pairs(kraus, coords)
+        for i in range(5):
+            psi = BipartiteState(d=d, coords=coords[i])
+            one, s0, s1 = orthogonalize_kraus_pair(kraus[i, 0], kraus[i, 1], psi)
+            assert np.array_equal(one.v, res.v[i])
+            assert (one.z, one.theta, one.xi, one.residual) == (
+                res.z[i], res.theta[i], res.xi[i], res.residual[i]
+            )
+            assert np.array_equal(s0, mixed[i, 0]) and np.array_equal(s1, mixed[i, 1])
+    assert res.residual.shape == (5,)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from((2, 3, 4)),
+    seeds=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=1, max_size=5),
+    weights=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=4, max_size=4),
+)
+def test_stacked_orthogonalization_property(d, seeds, weights):
+    tol = tolerances.get()
+    spectrum = spectrum_from_weights(weights, d)
+    kraus, coords = stacked_pairs(d, seeds, [spectrum] * len(seeds))
+    res, mixed = orthogonalize_kraus_pairs(kraus, coords)
+    phi = local_action(mixed, coords[:, None])
+    assert max_abs(np.einsum("bi,bi->b", phi[:, 0].conj(), phi[:, 1])) <= tol.unitarity
+    assert np.all(res.residual <= tol.quadratic)
+    assert np.all(np.abs(res.z) <= 1.0 + 1e-12)
+    assert unitarity_defect(res.v) <= 1e-12
+    rho = np.stack([make_schmidt_state(spectrum).density()] * len(seeds))
+    assert max_abs(apply_kraus(mixed, rho) - apply_kraus(kraus, rho)) <= tol.equality
+
+
+def test_stacked_channel_kernels_are_one_by_one():
+    seeds = [90, 91, 92]
+    kraus = random_trace_preserving_kraus(2, 3, seeds)
+    spectra = [random_spectrum(2, rng_from(93, k)) for k in range(3)]
+    coords = schmidt_coords(np.array([s.lambdas for s in spectra]))
+    rho = np.stack([random_density(4, rng_from(94, k)) for k in range(3)])
+    measurements = random_trace_preserving_kraus(3, 2, [95, 96, 97])
+    out = apply_kraus(kraus, rho)
+    u = dilation_unitaries(kraus, [7, 8, 9])
+    prob, residual = containment_residuals(kraus, coords, measurements, [7, 8, 9])
+    for i, seed in enumerate(seeds):
+        ch = random_trace_preserving_channel(2, 3, seed)
+        psi = BipartiteState(d=2, coords=coords[i])
+        assert np.array_equal(out[i], apply_channel(ch, rho[i]))
+        assert np.array_equal(u[i], dilation_unitary(ch, 7 + i).u_tilde)
+        report = support_containment_check(ch, psi, measurements[i], 7 + i)
+        assert [o.probability for o in report.outcomes] == list(prob[i])
+        assert [o.residual for o in report.outcomes] == list(residual[i])
+        assert kraus_rank(ch) == kraus_ranks(kraus)[i] == 3

@@ -7,14 +7,13 @@ from densecode.linalg import (
     gram,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    kron,
     max_abs,
     rng_from,
     sqrt_psd_diagonal,
     unitarity_defect,
 )
 
-from conftest import EXAMPLE_M, I2, X
+from conftest import EXAMPLE_M, I2, X, kron
 
 
 def test_kron_identity():
@@ -132,6 +131,38 @@ def test_random_unitary_matches_gram_schmidt_completion():
             u = linalg.random_unitary(n, seed=seed)
             assert unitarity_defect(u) <= tolerances.get().unitarity
             assert max_abs(u - complete_to_unitary((), seed, dim=n)) <= 1e-13
+
+
+def test_random_unitaries_slices_are_random_unitary():
+    seeds = [0, 7, 12345, 2 ** 64 - 1]
+    for n in (1, 2, 4, 6, 9):
+        stack = linalg.random_unitaries(n, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        for u, seed in zip(stack, seeds):
+            assert np.array_equal(u, linalg.random_unitary(n, seed))
+
+
+def test_completion_ignores_input_memory_layout():
+    # Rows of a transposed array are strided; the completion copies them
+    # contiguous, so it returns the same bytes as for a list of columns.
+    cols = linalg.random_unitary(6, seed=5)[:, :4]
+    from_view = complete_to_unitary(cols.T, seed=8)
+    assert np.array_equal(from_view, complete_to_unitary(list(cols.T.copy()), seed=8))
+    assert np.array_equal(from_view[:, :4], cols)
+
+
+def test_stacked_eigensystems_and_ranks_match_one_by_one():
+    rng = rng_from(13)
+    g = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    g[2, 2] = g[2, 0] + 2j * g[2, 1]  # one dependent collection
+    h = g.conj() @ np.swapaxes(g, -1, -2)
+    w, v = hermitian_eigensystem(h)
+    ranks = linalg.numerical_ranks(g)
+    for k in range(5):
+        wk, vk = hermitian_eigensystem(h[k])
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert ranks[k] == linalg.numerical_rank(list(g[k]))
+    assert list(ranks) == [3, 3, 2, 3, 3]
 
 
 def test_eigenvalues_of_diagonal():

@@ -115,6 +115,26 @@ def test_bundle_kraus_arrays_are_read_only(example_bundle):
         assert not a.flags.writeable
 
 
+def test_bundle_lifts_are_exact_products(example_spectrum, example_bundle):
+    # Each lifted entry is the single product sqrt(lambda_j) U[i, j], so the
+    # stacked lift equals lifting one operator at a time, bit for bit.
+    from densecode.encoding import lift_messages
+    from densecode.states import apply_local
+
+    psi = make_schmidt_state(example_spectrum)
+    ops = (example_bundle.t, example_bundle.y, example_bundle.c)
+    assert np.array_equal(example_bundle.lifted, lift_messages(example_bundle.messages, psi))
+    assert np.array_equal(example_bundle.branches, [apply_local(k, psi).coords for k in ops])
+
+    spectrum = SchmidtSpectrum.from_values([0.4, 0.35, 0.25])
+    psi = make_schmidt_state(spectrum)
+    unitaries = weyl_set(3).unitaries[:7]
+    lifted = lift_messages(UnitaryMessageSet(d=3, unitaries=unitaries), psi)
+    assert np.array_equal(lifted, [apply_local(u, psi).coords for u in unitaries])
+    root = np.sqrt(np.asarray(spectrum.lambdas))[None, :, None]
+    assert np.array_equal(lifted, (root * np.swapaxes(unitaries, 1, 2)).reshape(7, 9))
+
+
 def test_bundle_branch_plane_matches_example(example_bundle):
     # The added-column plane is completion-invariant and matches the example.
     ours = np.outer(example_bundle.v, example_bundle.v.conj()) + np.outer(

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from densecode.linalg import kron, max_abs, rng_from
+from densecode.linalg import max_abs, rng_from
 from densecode.states import (
     BipartiteState,
     SchmidtSpectrum,
@@ -12,11 +12,10 @@ from densecode.states import (
     make_schmidt_state,
     parse_spectrum,
     partial_trace_ancilla,
-    spectrum_of,
     uniform_spectrum,
 )
 
-from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X
+from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X, kron, spectrum_of
 
 
 def test_spectrum_validation():
