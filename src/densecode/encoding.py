@@ -132,8 +132,8 @@ def hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _generator_basis(d: int) -> np.ndarray:
-    """Read-only dH/dtheta: the Hermitian matrix of each of the d^2 parameters."""
-    basis = hermitian_from_params(np.eye(d * d), d)
+    """Read-only dH/dtheta as ``(d^2, d^2)``: row p is parameter p's Hermitian matrix, flattened."""
+    basis = hermitian_from_params(np.eye(d * d), d).reshape(d * d, d * d)
     basis.setflags(write=False)
     return basis
 
@@ -145,38 +145,59 @@ def _phi_matrix(eigs: np.ndarray) -> np.ndarray:
     return 1j * mid * np.sinc(delta / (2.0 * np.pi))
 
 
+def _generator_params(theta, d: int, count: int, caller: str) -> np.ndarray:
+    """``theta`` as a float vector, refused unless it holds ``(count - 1) d^2`` parameters."""
+    if count < 1:
+        raise ValueError(f"{caller}: count must be positive")
+    theta = np.asarray(theta, dtype=float)
+    want = (count - 1) * d * d
+    if theta.shape != (want,):
+        raise ValueError(
+            f"{caller}: theta must hold (count - 1) d^2 = {want} parameters, "
+            f"got shape {theta.shape}"
+        )
+    return theta
+
+
 def _decompose_generators(theta: np.ndarray, d: int, count: int):
     """Eigenvalues, eigenvectors and unitaries for every message.
 
     ``theta`` holds the ``(count - 1) d^2`` generator parameters; every free
     generator goes through one stacked eigensolve.  ``us[0]`` is the pinned
     identity and ``us[k] = exp(i H_k)`` for k >= 1, whose eigendata sit at
-    index ``k - 1`` of the returned ``w`` and ``q``.
+    index ``k - 1`` of the returned ``w`` and ``q``.  The generators are one
+    product with the basis, whose entries 0, 1 and +-i make it exact: each H
+    equals ``hermitian_from_params`` of its block entry for entry.
     """
-    h = hermitian_from_params(np.reshape(theta, (count - 1, d * d)), d)
-    w, q = np.linalg.eigh(h)
+    h = np.reshape(theta, (count - 1, d * d)) @ _generator_basis(d)
+    w, q = np.linalg.eigh(h.reshape(count - 1, d, d))
     us = np.empty((count, d, d), dtype=complex)
     us[0] = np.eye(d)
     us[1:] = (q * np.exp(1j * w)[:, None, :]) @ dagger(q)
     return w, q, us
 
 
+def _weighted_rows(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
+    """Row k is U_k with its column a scaled by lambda_a, flattened."""
+    return (us * np.asarray(spectrum.lambdas)).reshape(len(us), -1)
+
+
 def _pair_overlaps(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
     """Lifted-state overlaps <U_i psi|U_j psi> for every pair i < j, in row order."""
-    lam = np.asarray(spectrum.lambdas)
-    g = np.einsum("a,iba,jba->ij", lam, us.conj(), us)
+    g = us.reshape(len(us), -1).conj() @ _weighted_rows(spectrum, us).T
     return g[_upper_pairs(len(us))]
 
 
-def _gram_mass(spectrum: SchmidtSpectrum, us: np.ndarray) -> float:
-    """Sum of squared off-diagonal lifted-state overlaps of one message set."""
-    return float(np.sum(np.abs(_pair_overlaps(spectrum, us)) ** 2))
+def _mass(overlaps: np.ndarray) -> float:
+    """Sum of squared moduli of the pair overlaps: the Gram mass."""
+    return float(overlaps.real @ overlaps.real + overlaps.imag @ overlaps.imag)
 
 
 def gram_mass_objective(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> float:
     """Sum of squared off-diagonal lifted-state overlaps; zero at perfect distinguishability."""
+    theta = _generator_params(theta, spectrum.d, count, "gram_mass_objective")
     _, _, us = _decompose_generators(theta, spectrum.d, count)
-    return _gram_mass(spectrum, us)
+    return _mass(_pair_overlaps(spectrum, us))
 
 
 def gram_mass_gradient(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> np.ndarray:
@@ -184,50 +205,43 @@ def gram_mass_gradient(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int)
 
     ``o`` holds the pair overlaps and ``J`` their Jacobian.
     """
+    theta = _generator_params(theta, spectrum.d, count, "gram_mass_gradient")
     point = _decompose_generators(theta, spectrum.d, count)
-    overlaps, jac = _gram_and_jacobian(spectrum, point)
-    return 2.0 * np.real(dagger(jac) @ overlaps)
+    jac = _pair_jacobian(spectrum, point)
+    return 2.0 * np.real(dagger(jac) @ _pair_overlaps(spectrum, point[2]))
 
 
-def _trace_derivative(
-    q: np.ndarray, m: np.ndarray, phi: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """Derivatives of tr(m f(H)) in the d^2 parameters of H, for stacks of H.
-
-    Uses the spectral form of the matrix-function derivative: in the
-    eigenbasis ``q`` of H, a perturbation is damped entrywise by the
-    divided-difference kernel ``phi`` of f.  ``basis`` holds dH/dtheta.
-    """
-    a = np.swapaxes(dagger(q) @ m @ q, -1, -2)
-    k = q.conj() @ (a * phi) @ np.swapaxes(q, -1, -2)
-    return np.einsum("pab,kab->pk", k, basis)
-
-
-def _gram_and_jacobian(
+def _pair_jacobian(
     spectrum: SchmidtSpectrum, point: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal lifted overlaps and their Jacobian in the generator parameters.
+) -> np.ndarray:
+    """Jacobian of the pair overlaps in the generator parameters, one row per pair.
 
-    ``point`` is one ``_decompose_generators`` result ``(w, q, us)``.
+    ``point`` is one ``_decompose_generators`` result ``(w, q, us)``.  With
+    row-major flattening, the derivative of ``U_k = exp(i H_k)`` in its d^2
+    parameters is ``K diag(phi) K^H B`` for ``K = q_k (x) conj(q_k)``,
+    ``phi`` the flattened divided-difference kernel of exp(i .) on H_k's
+    eigenvalues, and ``B`` the generator basis as columns: one d^2 x d^2
+    tensor per free generator.  Overlap (i, j) is ``conj(U_i) . (U_j lambda)``
+    summed over entries, so its derivative is a product of those tensors with
+    the lambda-weighted unitaries on either side.
     """
     w, q, us = point
     count, d = len(us), spectrum.d
-    lam = np.asarray(spectrum.lambdas)
-    phi = _phi_matrix(w)
-    basis = _generator_basis(d)
+    n = d * d
+    kron = (q[:, :, None, :, None] * q.conj()[:, None, :, None, :]).reshape(count - 1, n, n)
+    d_us = (kron * _phi_matrix(w).reshape(count - 1, 1, n)) @ (
+        dagger(kron) @ _generator_basis(d).T
+    )
+    weighted = _weighted_rows(spectrum, us)
     i, j = _upper_pairs(count)
     pairs = np.arange(len(i))
-    jac = np.zeros((len(i), count - 1, d * d), dtype=complex)
-    # Overlap (i, j) is tr(D U_i^dag U_j): U_j enters on the right ...
-    jac[pairs, j - 1] = _trace_derivative(
-        q[j - 1], lam[:, None] * dagger(us[i]), phi[j - 1], basis
-    )
-    # ... and U_i = exp(i H_i) daggered on the left, unless i is the pinned identity.
+    jac = np.zeros((len(i), count - 1, n), dtype=complex)
+    # U_j enters overlap (i, j) on the right ...
+    jac[pairs, j - 1] = (weighted.conj() @ d_us)[j - 1, i]
+    # ... and U_i conjugated on the left, unless i is the pinned identity.
     left = i >= 1
-    jac[pairs[left], i[left] - 1] += _trace_derivative(
-        q[i[left] - 1], us[j[left]] * lam, phi[i[left] - 1].conj(), basis
-    )
-    return _pair_overlaps(spectrum, us), jac.reshape(len(i), -1)
+    jac[pairs[left], i[left] - 1] = (weighted @ d_us.conj())[i[left] - 1, j[left]]
+    return jac.reshape(len(i), (count - 1) * n)
 
 
 _STALL_WINDOW = 30  # trial steps over which a restart must make progress
@@ -240,7 +254,7 @@ def _levenberg_marquardt(
     count: int,
     max_steps: int = 400,
     target: float = 1e-26,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """Levenberg-Marquardt descent of the Gram mass from a start ``theta``.
 
     The mass is ``|r|^2`` for the stacked residual ``r = [Re o; Im o]`` of
@@ -250,17 +264,20 @@ def _levenberg_marquardt(
     lowers the mass is accepted and ``mu`` shrinks by Nielsen's rule
     ``max(1/3, 1 - (2 rho - 1)^3)``, ``rho`` being the achieved over the
     predicted drop; a rejected step multiplies ``mu`` by ``nu``, which then
-    doubles.  The Jacobian is recomputed only after an accepted step.  The
-    loop stops at ``target``, once the mass has fallen by less than
-    ``_STALL_DROP`` of itself over the last ``_STALL_WINDOW`` trial steps
-    (a restart stuck above zero, as when no set of ``count`` exists), or
-    after ``max_steps`` trial steps.  Returns the final ``theta`` and its
-    decomposition ``(w, q, us)``.
+    doubles.  The Jacobian is recomputed only after an accepted step, and
+    the accepted candidate's overlaps are kept for it.  The loop stops at
+    ``target``, once the mass has fallen by less than ``_STALL_DROP`` of
+    itself over the last ``_STALL_WINDOW`` trial steps (a restart stuck
+    above zero, as when no set of ``count`` exists), or after ``max_steps``
+    trial steps.  Returns the final ``theta``, its decomposition
+    ``(w, q, us)`` and its pair overlaps.
     """
     d = spectrum.d
     point = _decompose_generators(theta, d, count)
-    f = _gram_mass(spectrum, point[2])
+    overlaps = _pair_overlaps(spectrum, point[2])
+    f = _mass(overlaps)
     history = [f]  # the mass after each trial step
+    eye = np.eye(2 * len(overlaps))
     mu, nu, fresh = None, 2.0, True
     for _ in range(max_steps):
         if f <= target:
@@ -268,17 +285,18 @@ def _levenberg_marquardt(
         if len(history) > _STALL_WINDOW and f > (1.0 - _STALL_DROP) * history[-_STALL_WINDOW - 1]:
             break
         if fresh:
-            overlaps, jac = _gram_and_jacobian(spectrum, point)
+            jac = _pair_jacobian(spectrum, point)
             system = np.vstack([jac.real, jac.imag])
             residual = np.concatenate([overlaps.real, overlaps.imag])
             normal = system @ system.T
             if mu is None:
                 mu = 1e-3 * float(np.max(np.diag(normal)))
-        dual = np.linalg.solve(normal + mu * np.eye(len(residual)), residual)
+        dual = np.linalg.solve(normal + mu * eye, residual)
         step = system.T @ dual
         cand = theta - step
         cand_point = _decompose_generators(cand, d, count)
-        f_cand = _gram_mass(spectrum, cand_point[2])
+        cand_overlaps = _pair_overlaps(spectrum, cand_point[2])
+        f_cand = _mass(cand_overlaps)
         # The linear model's drop |r|^2 - |r - A s|^2, written as a sum of
         # non-negative terms: the difference form cancels to zero once mu
         # dominates A A^T.
@@ -288,12 +306,12 @@ def _levenberg_marquardt(
             rho = (f - f_cand) / predicted
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
-            theta, f, point = cand, f_cand, cand_point
+            theta, f, point, overlaps = cand, f_cand, cand_point, cand_overlaps
         else:
             mu *= nu
             nu *= 2.0
         history.append(f)
-    return theta, point
+    return theta, point, overlaps
 
 
 def search_message_set(
@@ -324,7 +342,7 @@ def search_message_set(
     n_params = (count - 1) * d * d
     for restart in range(max_iters):
         rng = rng_from(seed, restart)
-        _, (_, _, us) = _levenberg_marquardt(spectrum, rng.standard_normal(n_params), count)
+        _, (_, _, us), _ = _levenberg_marquardt(spectrum, rng.standard_normal(n_params), count)
         candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
         if certify_distinguishable(candidate, psi).passed:
             return candidate

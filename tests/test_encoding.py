@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densecode.encoding import (
     UnitaryMessageSet,
@@ -16,8 +17,15 @@ from densecode.encoding import (
     weyl_set,
 )
 from densecode import encoding
-from densecode.encoding import _decompose_generators, _gram_and_jacobian, _levenberg_marquardt
-from densecode.linalg import max_abs, rng_from, unitarity_defect
+from densecode.encoding import (
+    _decompose_generators,
+    _levenberg_marquardt,
+    _pair_jacobian,
+    _pair_overlaps,
+    _phi_matrix,
+    _upper_pairs,
+)
+from densecode.linalg import dagger, max_abs, rng_from, unitarity_defect
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 from densecode.suites import random_spectrum
 
@@ -176,24 +184,123 @@ def test_objective_gradient_matches_finite_differences():
         assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
 
+def test_generators_match_hermitian_from_params(monkeypatch):
+    # The generators are a product with the 0 / 1 / +-i basis, so the
+    # eigensolver sees exactly the fancy-indexed fill.
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        seen.append(h)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rng = rng_from(77)
+    for d in (2, 3, 4):
+        count = 4
+        theta = rng.standard_normal((count - 1) * d * d)
+        seen.clear()
+        _decompose_generators(theta, d, count)
+        assert np.array_equal(seen[0], hermitian_from_params(theta.reshape(count - 1, d * d), d))
+
+
+def test_objective_and_gradient_at_one_message():
+    s = SchmidtSpectrum.from_values([0.6, 0.4])
+    assert gram_mass_objective(s, np.zeros(0), 1) == 0.0
+    grad = gram_mass_gradient(s, np.zeros(0), 1)
+    assert grad.shape == (0,)
+    assert _pair_jacobian(s, _decompose_generators(np.zeros(0), 2, 1)).shape == (0, 0)
+
+
+@pytest.mark.parametrize("fn", (gram_mass_objective, gram_mass_gradient))
+def test_objective_and_gradient_check_parameter_count(fn):
+    s = SchmidtSpectrum.from_values([0.6, 0.4])
+    wrong = ((np.zeros(8), 2), (np.zeros(3), 2), (np.zeros(4), 1), (np.zeros((2, 4)), 3))
+    for theta, count in wrong:
+        with pytest.raises(ValueError, match=f"{fn.__name__}: theta must hold"):
+            fn(s, theta, count)
+    with pytest.raises(ValueError, match=f"{fn.__name__}: count must be positive"):
+        fn(s, np.zeros(0), 0)
+
+
+def trace_derivative(q: np.ndarray, m: np.ndarray, phi: np.ndarray, basis: list) -> np.ndarray:
+    """Derivatives of tr(m exp(iH)) in the d^2 parameters of one H = q diag(w) q^H.
+
+    In the eigenbasis ``q`` a perturbation is damped entrywise by the
+    divided-difference kernel ``phi`` of exp(i .); ``basis`` holds dH/dtheta.
+    """
+    a = (dagger(q) @ m @ q).T
+    k = q.conj() @ (a * phi) @ q.T
+    return np.array([np.sum(k * b) for b in basis])
+
+
+def reference_jacobian(spectrum: SchmidtSpectrum, point) -> np.ndarray:
+    """Pair-overlap Jacobian built one pair and one side at a time."""
+    w, q, us = point
+    count, d = len(us), spectrum.d
+    lam = np.asarray(spectrum.lambdas)
+    basis = [hermitian_from_params(e, d) for e in np.eye(d * d)]
+    rows = []
+    for i, j in zip(*_upper_pairs(count)):
+        row = np.zeros((count - 1, d * d), dtype=complex)
+        # Overlap (i, j) is tr(D U_i^dag U_j): U_j enters on the right ...
+        row[j - 1] = trace_derivative(
+            q[j - 1], lam[:, None] * dagger(us[i]), _phi_matrix(w[j - 1]), basis
+        )
+        if i >= 1:  # ... and U_i daggered on the left, unless i is the pinned identity.
+            row[i - 1] += trace_derivative(
+                q[i - 1], us[j] * lam, _phi_matrix(w[i - 1]).conj(), basis
+            )
+        rows.append(row.ravel())
+    return np.array(rows)
+
+
+def test_pair_jacobian_matches_reference():
+    rng = rng_from(78)
+    for d in (2, 3, 4):
+        for count in sorted({2, 3, d * d - 2}):
+            s = random_spectrum(d, rng)
+            point = _decompose_generators(rng.standard_normal((count - 1) * d * d), d, count)
+            assert max_abs(_pair_jacobian(s, point) - reference_jacobian(s, point)) < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    extra=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_jacobian_matches_reference_on_random_spectra(d, extra, seed):
+    rng = rng_from(seed)
+    count = 2 + extra % (d * d - 1)
+    s = random_spectrum(d, rng)
+    point = _decompose_generators(3.0 * rng.standard_normal((count - 1) * d * d), d, count)
+    assert max_abs(_pair_jacobian(s, point) - reference_jacobian(s, point)) < 1e-14
+
+
 def test_pair_jacobian_matches_finite_differences():
     rng = rng_from(76)
-    s = SchmidtSpectrum.from_values([0.4, 0.35, 0.25])
-    count = 4
-    n = (count - 1) * 9
-    theta = rng.standard_normal(n)
+    cases = (
+        (SchmidtSpectrum.from_values([0.6, 0.4]), 3),
+        (SchmidtSpectrum.from_values([0.4, 0.35, 0.25]), 4),
+        (SchmidtSpectrum.from_values([0.3, 0.27, 0.23, 0.2]), 4),
+    )
+    for s, count in cases:
+        d = s.d
+        n = (count - 1) * d * d
+        theta = rng.standard_normal(n)
 
-    def at(t):
-        return _gram_and_jacobian(s, _decompose_generators(t, 3, count))
+        def at(t):
+            return _pair_overlaps(s, _decompose_generators(t, d, count)[2])
 
-    _, jac = at(theta)
-    h = 1e-6
-    for a in range(0, n, 5):
-        up, down = theta.copy(), theta.copy()
-        up[a] += h
-        down[a] -= h
-        fd = (at(up)[0] - at(down)[0]) / (2 * h)
-        assert np.max(np.abs(fd - jac[:, a])) < 1e-7
+        jac = _pair_jacobian(s, _decompose_generators(theta, d, count))
+        h = 1e-6
+        for a in range(0, n, 5):
+            up, down = theta.copy(), theta.copy()
+            up[a] += h
+            down[a] -= h
+            fd = (at(up) - at(down)) / (2 * h)
+            assert np.max(np.abs(fd - jac[:, a])) < 1e-7
 
 
 @pytest.mark.parametrize(
@@ -210,9 +317,10 @@ def test_levenberg_marquardt_returns_its_point_and_never_raises_mass(values, cou
     s = SchmidtSpectrum.from_values(values)
     for seed in (1, 2):
         start = rng_from(seed).standard_normal((count - 1) * s.d * s.d)
-        theta, point = _levenberg_marquardt(s, start, count)
-        for got, fresh in zip(point, _decompose_generators(theta, s.d, count)):
+        theta, point, overlaps = _levenberg_marquardt(s, start, count)
+        for got, fresh in zip(point, _decompose_generators(theta, s.d, count), strict=True):
             assert np.array_equal(got, fresh)
+        assert np.array_equal(overlaps, _pair_overlaps(s, point[2]))
         assert gram_mass_objective(s, theta, count) <= gram_mass_objective(s, start, count)
 
 
@@ -221,7 +329,7 @@ def test_levenberg_marquardt_predicted_drop_does_not_cancel():
     # of the model's predicted drop rounds below zero and then to zero.
     s = SchmidtSpectrum.from_values([0.4061792065158033, 0.31466166892217395, 0.27915912456202274])
     start = rng_from(1645176546945092850, 0).standard_normal(6 * 9)
-    theta, _ = _levenberg_marquardt(s, start, 7)
+    theta, _, _ = _levenberg_marquardt(s, start, 7)
     assert gram_mass_objective(s, theta, 7) <= gram_mass_objective(s, start, 7)
 
 
@@ -245,7 +353,7 @@ def test_restart_with_d2_minus_1_messages_stops_on_progress_rule(values, count, 
     for seed in (1, 2):
         calls.clear()
         start = rng_from(seed, 0).standard_normal((count - 1) * s.d * s.d)
-        _, (_, _, us) = _levenberg_marquardt(s, start, count)
+        _, (_, _, us), _ = _levenberg_marquardt(s, start, count)
         assert len(calls) <= 100
         assert not certify_distinguishable(UnitaryMessageSet(d=s.d, unitaries=tuple(us)), psi).passed
 
