@@ -2,12 +2,12 @@
 
 Library layout:
 
-- ``linalg``: dense complex kernel (Gram products, seeded unitary
-  completion, stacked LAPACK Hermitian eigensystems and random unitaries,
-  diagonal square roots)
-- ``states``: Schmidt spectra, the shared state, local action, partial trace
-- ``channels``: operator-sum channels, dilation, Kraus-pair orthogonalization,
-  ancilla-measurement support containment
+- ``linalg``: dense complex kernel (seeded unitary completion, stacked
+  LAPACK Hermitian eigensystems, ranks and random unitaries, diagonal square
+  roots)
+- ``states``: Schmidt spectra, the shared state, local action
+- ``channels``: stacked operator-sum kernels: application, dilation,
+  Kraus-pair orthogonalization, ancilla-measurement support containment
 - ``encoding``: unitary message sets, distinguishability certificates, the
   shift/clock basis, numerical message-set search
 - ``protocol``: the extra-message construction, decoding, Monte-Carlo runs
@@ -27,16 +27,7 @@ from .channels import (
     DilationResult,
     OrthogonalizationResult,
     QuantumChannel,
-    SupportContainmentReport,
-    apply_channel,
-    apply_dilation,
-    dilated_state,
     dilation_unitary,
-    kraus_rank,
-    lifted_kraus_states,
-    orthogonalize_kraus_pair,
-    random_trace_preserving_channel,
-    support_containment_check,
 )
 from .encoding import (
     DistinguishabilityCertificate,
@@ -68,7 +59,6 @@ from .states import (
     apply_local,
     make_schmidt_state,
     parse_spectrum,
-    partial_trace_ancilla,
     uniform_spectrum,
 )
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .encoding import UnitaryMessageSet, weyl_set
-from .linalg import as_matrix, dagger, gram, max_abs
+from .encoding import UnitaryMessageSet, lift_messages, weyl_set
+from .linalg import as_matrix, dagger, max_abs
 from .states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 
 CASE_I = "case-i (x = 1/2)"
@@ -91,7 +91,7 @@ def verify_necessary_identities(
     messages together with the two normalized lifted Kraus states must pass
     a full orthonormality Gram check.  Nothing is orthogonalized here; a
     pair whose lifted states overlap should first go through
-    ``channels.orthogonalize_kraus_pair``.  A failing Gram check is reported
+    ``channels.orthogonalize_kraus_pairs``.  A failing Gram check is reported
     via the case tag, not silently repaired.
     """
     tol = tolerances.get()
@@ -113,11 +113,10 @@ def verify_necessary_identities(
 
     hypotheses_ok = 0.0 < x < 1.0 and abs(x + one_minus_x - 1.0) < tol.identity
     if hypotheses_ok:
-        columns = [apply_local(u, psi).coords for u in messages.unitaries]
-        columns.append(phi0 / np.sqrt(x))
-        columns.append(phi1 / np.sqrt(1.0 - x))
-        g = gram(columns)
-        gram_defect = max_abs(g - np.eye(d * d))
+        basis = np.vstack(
+            (lift_messages(messages, psi), phi0 / np.sqrt(x), phi1 / np.sqrt(1.0 - x))
+        )
+        gram_defect = max_abs(basis.conj() @ basis.T - np.eye(d * d))
         defects["hypotheses_gram"] = float(gram_defect)
         hypotheses_ok = gram_defect < tol.identity
     else:

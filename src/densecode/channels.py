@@ -1,21 +1,21 @@
-"""Quantum operations in operator-sum form.
+"""Quantum operations in operator-sum form, stacked over leading axes.
 
 A channel is an ordered collection of d x d Kraus matrices acting on Alice's
-side of the shared state.  Besides application and rank, this module builds
-the unitary dilation onto an ancilla, rotates a two-element Kraus pair so its
-lifted states become orthogonal, and checks that measuring the ancilla can
-only steer the joint state inside the support of the channel output.  Each
-of these has a stacked form over leading axes (``apply_kraus``,
-``dilation_unitaries``, ``orthogonalize_kraus_pairs``,
-``containment_residuals``, ...); the per-channel function is its one-item
-case.
+side of the shared state.  Every operation here takes a stack of Kraus sets
+``(..., n, d, d)``: ``apply_kraus`` applies them to joint densities,
+``kraus_ranks`` and ``lifted_kraus`` count and lift them,
+``dilation_unitaries`` and ``dilate`` build and apply the unitary dilation
+onto an ancilla, ``orthogonalize_kraus_pairs`` rotates two-element pairs so
+their lifted states become orthogonal, and ``containment_residuals`` checks
+that measuring the ancilla only steers the joint state inside the support of
+the channel output.  One channel is a one-item stack
+(``QuantumChannel.stacked``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .linalg import (
     numerical_ranks,
     random_unitaries,
 )
-from .states import BipartiteState, apply_local, local_action, pure_densities
+from .states import local_action, pure_densities
 
 
 def kraus_sums(kraus: np.ndarray) -> np.ndarray:
@@ -72,13 +72,6 @@ class QuantumChannel:
         """The Kraus matrices as one read-only ``(n, d, d)`` array."""
         return self._stack
 
-    def completeness_defect(self) -> float:
-        """Max-modulus distance of sum K^dag K from the identity."""
-        return max_abs(kraus_sums(self.stacked()) - np.eye(self.d))
-
-    def is_trace_preserving(self) -> bool:
-        return self.completeness_defect() < tolerances.get().unitarity
-
 
 def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Operator-sum action of Kraus sets ``(..., n, d, d)`` on joint densities ``(..., d*d, d*d)``.
@@ -92,11 +85,11 @@ def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rho = as_matrices(rho)
     n, d = kraus.shape[-3], kraus.shape[-1]
     if rho.shape[-2:] != (d * d, d * d):
-        raise ValueError(f"apply_channel: density operator shape {rho.shape[-2:]} != ({d*d}, {d*d})")
+        raise ValueError(f"apply_kraus: density operator shape {rho.shape[-2:]} != ({d*d}, {d*d})")
     if max_abs(rho - dagger(rho)) > tol.unitarity:
-        raise ValueError("apply_channel: density operator is not Hermitian")
+        raise ValueError("apply_kraus: density operator is not Hermitian")
     if np.any(np.trace(rho, axis1=-2, axis2=-1).real > 1.0 + tol.unitarity):
-        raise ValueError("apply_channel: density operator trace exceeds 1")
+        raise ValueError("apply_kraus: density operator trace exceeds 1")
     batch = rho.shape[:-2]
     left = (kraus[..., :, None, :, :] @ rho.reshape(batch + (1, d, d, d * d))).reshape(
         batch + (n, d * d, d, d)
@@ -105,24 +98,14 @@ def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out.reshape(batch + (d * d, d * d))
 
 
-def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Operator-sum action on a joint density operator (``apply_kraus`` of one channel)."""
-    return apply_kraus(channel.stacked(), as_matrix(rho))
-
-
 def kraus_ranks(kraus: np.ndarray) -> np.ndarray:
     """Dimension of the span of each stacked Kraus set's vectorized matrices ``(..., n, d, d)``.
 
     Counted by ``linalg.numerical_ranks``.
     """
     if np.any(np.abs(kraus).max(axis=(-3, -2, -1)) == 0.0):
-        raise ValueError("kraus_rank: all-zero channel")
+        raise ValueError("kraus_ranks: all-zero channel")
     return numerical_ranks(kraus.reshape(kraus.shape[:-2] + (-1,)))
-
-
-def kraus_rank(channel: QuantumChannel) -> int:
-    """Dimension of the span of the vectorized Kraus matrices (``kraus_ranks`` of one)."""
-    return int(kraus_ranks(channel.stacked()))
 
 
 def lifted_kraus(kraus: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -135,15 +118,8 @@ def lifted_kraus(kraus: np.ndarray, coords: np.ndarray) -> np.ndarray:
     d = kraus.shape[-1]
     amps = np.abs(coords[..., :: d + 1])  # the (j, j) coordinates
     if np.any(amps <= tolerances.get().equality):
-        raise ValueError("lifted_kraus_states: zero Schmidt coefficient detected")
+        raise ValueError("lifted_kraus: zero Schmidt coefficient detected")
     return local_action(kraus, coords[..., None, :])
-
-
-def lifted_kraus_states(channel: QuantumChannel, psi: BipartiteState) -> list[BipartiteState]:
-    """Each Kraus matrix applied locally to the shared state (``lifted_kraus`` of one)."""
-    if psi.d != channel.d:
-        raise ValueError("lifted_kraus_states: state dimension mismatch")
-    return [BipartiteState(d=psi.d, coords=c) for c in lifted_kraus(channel.stacked(), psi.coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +173,6 @@ def dilation_unitary(channel: QuantumChannel, seed: int) -> DilationResult:
     return DilationResult(u_tilde=u, ancilla_dim=len(channel.kraus))
 
 
-def dilated_state(channel: QuantumChannel, psi: BipartiteState) -> np.ndarray:
-    """Joint (system x ancilla) vector: each lifted Kraus branch tagged by an ancilla level.
-
-    Flat index = (joint two-qudit index) * N + ancilla level.
-    """
-    branches = [apply_local(k, psi).coords for k in channel.kraus]
-    n_anc = len(branches)
-    out = np.zeros(psi.d * psi.d * n_anc, dtype=complex)
-    for r, branch in enumerate(branches):
-        out[r::n_anc] = branch
-    return out
-
-
 def dilate(u: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Dilation unitaries ``(..., d*N, d*N)`` applied to states ``(..., d*d)`` x (ancilla level 0)."""
     d = math.isqrt(coords.shape[-1])
@@ -220,11 +183,6 @@ def dilate(u: np.ndarray, coords: np.ndarray) -> np.ndarray:
     blocks = joint.reshape(coords.shape[:-1] + (d, d * n_anc))
     out = blocks @ np.swapaxes(u, -1, -2)
     return out.reshape(coords.shape[:-1] + (-1,))
-
-
-def apply_dilation(dilation: DilationResult, psi: BipartiteState) -> np.ndarray:
-    """Apply the dilation unitary to (shared state) x (ancilla in level 0)."""
-    return dilate(dilation.u_tilde, psi.coords)
 
 
 def trace_out_ancilla_state(joint: np.ndarray, ancilla_dim: int) -> np.ndarray:
@@ -242,17 +200,17 @@ def trace_out_ancilla_state(joint: np.ndarray, ancilla_dim: int) -> np.ndarray:
 class OrthogonalizationResult:
     """2x2 unitary mixing a Kraus pair, with the root and angles that built it.
 
+    Every field is an array over the stack of ``orthogonalize_kraus_pairs``.
     ``residual`` is the worse of the two roots' residuals in the
-    orthogonality quadratic (``orthogonality_roots``), 0.0 when the pair
-    was already orthogonal.  From ``orthogonalize_kraus_pairs`` every field
-    is an array over the stack.
+    orthogonality quadratic (``orthogonality_quadratics``), 0.0 where the
+    pair was already orthogonal.
     """
 
     v: np.ndarray
-    z: complex
-    theta: float
-    xi: float
-    residual: float
+    z: np.ndarray
+    theta: np.ndarray
+    xi: np.ndarray
+    residual: np.ndarray
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,20 +241,6 @@ def orthogonality_quadratics(
     return roots, np.where(orthogonal, 0.0, residual), orthogonal
 
 
-def orthogonality_roots(
-    phi0: np.ndarray, phi1: np.ndarray
-) -> tuple[tuple[complex, complex], float] | None:
-    """Both roots of the orthogonality quadratic for lifted states ``phi0``, ``phi1``.
-
-    The one-pair case of ``orthogonality_quadratics``: the roots and their
-    worst residual, or None when the states are already orthogonal.
-    """
-    roots, residual, orthogonal = orthogonality_quadratics(phi0[None], phi1[None])
-    if orthogonal[0]:
-        return None
-    return (complex(roots[0, 0]), complex(roots[0, 1])), float(residual[0])
-
-
 def orthogonalize_kraus_pairs(
     pairs: np.ndarray, coords: np.ndarray
 ) -> tuple[OrthogonalizationResult, np.ndarray]:
@@ -319,17 +263,17 @@ def orthogonalize_kraus_pairs(
     tol = tolerances.get()
     d = pairs.shape[-1]
     if np.any(numerical_ranks(pairs.reshape(pairs.shape[:-2] + (d * d,))) < 2):
-        raise ValueError("orthogonalize_kraus_pair: Kraus matrices are linearly dependent")
+        raise ValueError("orthogonalize_kraus_pairs: Kraus matrices are linearly dependent")
     tp_defect = max_abs(kraus_sums(pairs) - np.eye(d))
     if tp_defect > tol.unitarity:
         raise ValueError(
-            f"orthogonalize_kraus_pair: pair is not trace-preserving (defect {tp_defect:g})"
+            f"orthogonalize_kraus_pairs: pair is not trace-preserving (defect {tp_defect:g})"
         )
 
     phi = local_action(pairs, coords[..., None, :])
     roots, residual, orthogonal = orthogonality_quadratics(phi[..., 0, :], phi[..., 1, :])
     if residual.max() > tol.quadratic:
-        raise RuntimeError(f"orthogonalize_kraus_pair: root residual {residual.max():g}")
+        raise RuntimeError(f"orthogonalize_kraus_pairs: root residual {residual.max():g}")
     modulus, angle = np.abs(roots), np.arctan2(roots.imag, roots.real)
     second = (modulus[..., 1] < modulus[..., 0]) | (
         (modulus[..., 1] == modulus[..., 0]) & (angle[..., 1] < angle[..., 0])
@@ -350,60 +294,13 @@ def orthogonalize_kraus_pairs(
     lifted = local_action(mixed, coords[..., None, :])
     mixed_overlap = np.abs(_inner(lifted[..., 0, :], lifted[..., 1, :])).max()
     if mixed_overlap > tol.unitarity:
-        raise RuntimeError(f"orthogonalize_kraus_pair: residual overlap {mixed_overlap:g}")
+        raise RuntimeError(f"orthogonalize_kraus_pairs: residual overlap {mixed_overlap:g}")
     return OrthogonalizationResult(v=v, z=z, theta=theta, xi=xi, residual=residual), mixed
-
-
-def orthogonalize_kraus_pair(
-    k0: np.ndarray, k1: np.ndarray, psi: BipartiteState
-) -> tuple[OrthogonalizationResult, np.ndarray, np.ndarray]:
-    """Mix a trace-preserving Kraus pair so the lifted states become orthogonal.
-
-    The one-pair case of ``orthogonalize_kraus_pairs``.
-    """
-    k0 = as_matrix(k0)
-    k1 = as_matrix(k1)
-    d = psi.d
-    if k0.shape != (d, d) or k1.shape != (d, d):
-        raise ValueError("orthogonalize_kraus_pair: operator shapes do not match d")
-    res, mixed = orthogonalize_kraus_pairs(np.stack((k0, k1))[None], psi.coords[None])
-    result = OrthogonalizationResult(
-        v=res.v[0],
-        z=complex(res.z[0]),
-        theta=float(res.theta[0]),
-        xi=float(res.xi[0]),
-        residual=float(res.residual[0]),
-    )
-    return result, mixed[0, 0], mixed[0, 1]
 
 
 # ---------------------------------------------------------------------------
 # Ancilla measurement cannot steer outside the channel support
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContainmentOutcome:
-    outcome: int
-    probability: float
-    residual: float
-
-
-@dataclass(frozen=True)
-class SupportContainmentReport:
-    outcomes: tuple[ContainmentOutcome, ...]
-    max_residual: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "outcomes": [
-                {"outcome": o.outcome, "probability": o.probability, "residual": o.residual}
-                for o in self.outcomes
-            ],
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-        }
-
 
 def support_projector(rho: np.ndarray) -> np.ndarray:
     """Projector onto the span of eigenvectors with eigenvalue above the support cutoff.
@@ -435,9 +332,9 @@ def containment_residuals(
     tol = tolerances.get()
     n_anc = kraus.shape[-3]
     if measurements.shape[-2:] != (n_anc, n_anc):
-        raise ValueError("support_containment_check: measurement operator has wrong shape")
+        raise ValueError("containment_residuals: measurement operator has wrong shape")
     if max_abs(kraus_sums(measurements) - np.eye(n_anc)) > tol.unitarity:
-        raise ValueError("support_containment_check: incomplete measurement set")
+        raise ValueError("containment_residuals: incomplete measurement set")
 
     joint = dilate(dilation_unitaries(kraus, seeds), coords)
     proj = support_projector(apply_kraus(kraus, pure_densities(coords)))
@@ -453,38 +350,6 @@ def containment_residuals(
     return prob, np.where(seen, residual, 0.0)
 
 
-def support_containment_check(
-    channel: QuantumChannel,
-    psi: BipartiteState,
-    measurement: Sequence[np.ndarray],
-    seed: int,
-) -> SupportContainmentReport:
-    """Verify that measuring the ancilla keeps the joint state inside the channel support.
-
-    The one-channel case of ``containment_residuals``.
-    """
-    n_anc = len(channel.kraus)
-    ops = [as_matrix(m) for m in measurement]
-    if not ops:
-        raise ValueError("support_containment_check: empty measurement set")
-    for m in ops:
-        if m.shape != (n_anc, n_anc):
-            raise ValueError("support_containment_check: measurement operator has wrong shape")
-    prob, residual = containment_residuals(
-        channel.stacked()[None], psi.coords[None], np.stack(ops)[None], [seed]
-    )
-    outcomes = tuple(
-        ContainmentOutcome(outcome=y, probability=float(p), residual=float(r))
-        for y, (p, r) in enumerate(zip(prob[0], residual[0]))
-    )
-    max_residual = float(residual.max())
-    return SupportContainmentReport(
-        outcomes=outcomes,
-        max_residual=max_residual,
-        passed=max_residual < tolerances.get().containment,
-    )
-
-
 def random_trace_preserving_kraus(d: int, n_kraus: int, seeds) -> np.ndarray:
     """Seeded random trace-preserving Kraus sets ``(len(seeds), n_kraus, d, d)``.
 
@@ -492,8 +357,3 @@ def random_trace_preserving_kraus(d: int, n_kraus: int, seeds) -> np.ndarray:
     """
     u = random_unitaries(d * n_kraus, seeds)
     return u[:, :, :d].reshape(-1, d, n_kraus, d).transpose(0, 2, 1, 3)
-
-
-def random_trace_preserving_channel(d: int, n_kraus: int, seed: int) -> QuantumChannel:
-    """Seeded random trace-preserving channel (``random_trace_preserving_kraus`` of one seed)."""
-    return QuantumChannel(d=d, kraus=tuple(random_trace_preserving_kraus(d, n_kraus, [seed])[0]))

@@ -313,16 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, overrides = _extract_tolerance_flags(argv)
-    except ValueError as err:
-        return _fail(str(err))
-    with tolerances.using(**overrides):
-        try:
+        with tolerances.using(**overrides):
             args = _build_parser().parse_args(argv)
             return args.func(args)
-        except BundleError as err:
-            return _fail(str(err), defects={k: float(v) for k, v in err.defects.items()})
-        except (ValueError, OSError) as err:
-            return _fail(str(err))
+    except BundleError as err:
+        return _fail(str(err), defects={k: float(v) for k, v in err.defects.items()})
+    except (ValueError, OSError) as err:
+        return _fail(str(err))
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 Products, adjoints and Hermitian eigensystems defer to numpy (LAPACK) on
 complex128 arrays (pairs of double-precision reals), and so do seeded random
 unitaries (one QR of a complex-Gaussian draw).  Eigensystems, ranks and
-random unitaries work on stacks of matrices (leading axes), and the
-single-matrix call is the one-item case of the stacked one.  The pieces with
+random unitaries work on stacks of matrices (leading axes).  The pieces with
 bespoke numerics live here: seeded unitary completion by modified
 Gram-Schmidt, kept because protocol bundles print its columns at full
 precision, and square roots of positive diagonal matrices.  All functions
@@ -66,18 +65,6 @@ def max_abs(a) -> float:
     """Entrywise max-modulus norm."""
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
-
-
-def gram(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Gram matrix of a vector collection, conjugate-linear in the first slot."""
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        return np.zeros((0, 0), dtype=complex)
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs):
-        raise ValueError("gram: vectors do not share one dimension")
-    stacked = np.array(vecs)
-    return stacked.conj() @ stacked.T
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -178,11 +165,6 @@ def numerical_ranks(vectors: np.ndarray) -> np.ndarray:
     return np.sum(eigs > tolerances.get().rank * eigs[..., :1], axis=-1)
 
 
-def numerical_rank(vectors: Sequence[np.ndarray]) -> int:
-    """Dimension of the span of one vector collection (``numerical_ranks`` of one)."""
-    return int(numerical_ranks([as_vector(v) for v in vectors]))
-
-
 def sqrt_psd_diagonal(h: np.ndarray) -> np.ndarray:
     """Elementwise square root of a positive diagonal matrix.
 
@@ -223,10 +205,5 @@ def random_unitaries(n: int, seeds: Sequence[int]) -> np.ndarray:
     q = q * (diag / np.abs(diag))[:, None, :]
     defect = unitarity_defect(q)
     if not defect <= tolerances.get().unitarity:  # also refuses NaN from a zero pivot
-        raise RuntimeError(f"random_unitary: defect {defect:g}")
+        raise RuntimeError(f"random_unitaries: defect {defect:g}")
     return q
-
-
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-random unitary (``random_unitaries`` of one seed)."""
-    return random_unitaries(n, [seed])[0]

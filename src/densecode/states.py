@@ -19,11 +19,6 @@ from . import tolerances
 from .linalg import as_matrix, as_vector
 
 
-def basis_index(i: int, j: int, d: int) -> int:
-    """Flat coordinate index of |ij> in the d-groups-of-d ordering."""
-    return j * d + i
-
-
 @dataclass(frozen=True)
 class SchmidtSpectrum:
     """Ordered squared Schmidt coefficients of the shared state.
@@ -66,7 +61,7 @@ def validate_spectra(lam: np.ndarray) -> None:
     sums = lam.sum(axis=-1)
     off = np.abs(sums - 1.0) > tolerances.get().equality
     if off.any():
-        raise ValueError(f"SchmidtSpectrum: coefficients sum to {sums[off].flat[0]!r}, not 1")
+        raise ValueError(f"SchmidtSpectrum: coefficients sum to {float(sums[off].flat[0])}, not 1")
     if np.any(lam <= 0.0):
         raise ValueError("SchmidtSpectrum: all coefficients must be positive")
     if np.any(np.diff(lam, axis=-1) > 0.0):
@@ -163,19 +158,3 @@ def apply_local(a: np.ndarray, psi: BipartiteState) -> BipartiteState:
     if a.shape != (d, d):
         raise ValueError(f"apply_local: operator shape {a.shape} does not match d={d}")
     return BipartiteState(d=d, coords=local_action(a, psi.coords))
-
-
-def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """Trace out a trailing ancilla factor (joint index = system*N + ancilla)."""
-    tol = tolerances.get()
-    rho = as_matrix(rho)
-    m = rho.shape[0]
-    if rho.shape[1] != m:
-        raise ValueError("partial_trace_ancilla: matrix is not square")
-    n = int(ancilla_dim)
-    if n < 1 or m % n != 0:
-        raise ValueError(f"partial_trace_ancilla: dimension {m} not divisible by {n}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol.unitarity:
-        raise ValueError("partial_trace_ancilla: matrix is not Hermitian")
-    sys_dim = m // n
-    return np.einsum("arbr->ab", rho.reshape(sys_dim, n, sys_dim, n))

@@ -36,7 +36,7 @@ from .channels import (
     validate_kraus,
 )
 from .linalg import dagger, hermitian_eigenvalues, max_abs, numerical_ranks, rng_from
-from .states import SchmidtSpectrum, local_action, pure_densities, schmidt_coords, validate_spectra
+from .states import local_action, pure_densities, schmidt_coords, validate_spectra
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ def spectrum_values(d: int, rng: np.random.Generator, floor: float = 0.05) -> np
     return -np.sort(-(raw / raw.sum()))
 
 
-def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:
-    """Random full-support spectrum (floored uniforms, normalized, sorted)."""
-    return SchmidtSpectrum.from_values(spectrum_values(d, rng, floor))
-
-
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -100,10 +95,6 @@ def _densities(g: np.ndarray) -> np.ndarray:
     """Unit-trace g g^dag for each matrix of a stack."""
     rho = g @ dagger(g)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _densities(_ginibre((n, n), rng))
 
 
 def _groups(configs: list[Config], key: Callable[[Config], Hashable]):

@@ -9,6 +9,7 @@ LAPACK and take no tolerance of their own.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -27,6 +28,14 @@ class Tolerances:
     quadratic: float = 1e-12          # orthogonalization root residual
     case_split: float = 1e-10         # |x - 1/2| case boundary
     completion_redraw: float = 1e-8   # minimum norm before redrawing a column
+
+    def __post_init__(self) -> None:
+        # A NaN threshold would pass every ``defect > gate`` test and print as
+        # invalid JSON; a negative one fails every gate.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {f.name} must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from densecode.channels import QuantumChannel, random_trace_preserving_kraus
 from densecode.linalg import as_matrix
 from densecode.protocol import build_bundle, build_decoder, default_messages
-from densecode.states import SchmidtSpectrum, basis_index, parse_spectrum
+from densecode.states import SchmidtSpectrum, parse_spectrum
+from densecode.suites import spectrum_values
 
 SEED = 0x5EED_D0DE
 
@@ -33,6 +35,28 @@ EXAMPLE_C = np.diag([np.sqrt(320 / 6561), 0.0]).astype(complex)
 def kron(a, b) -> np.ndarray:
     """Kronecker product oracle; entry ((i*p+k), (j*q+l)) is a[i,j] * b[k,l]."""
     return np.kron(as_matrix(a), as_matrix(b))
+
+
+def basis_index(i: int, j: int, d: int) -> int:
+    """Flat coordinate index of |ij> in the d-groups-of-d ordering (Bob's index j selects the group)."""
+    return j * d + i
+
+
+def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:
+    """Random full-support spectrum (floored uniforms, normalized, sorted)."""
+    return SchmidtSpectrum.from_values(spectrum_values(d, rng, floor))
+
+
+def random_channel(d: int, n_kraus: int, seed: int) -> QuantumChannel:
+    """One seeded random trace-preserving channel: a one-item stack of ``random_trace_preserving_kraus``."""
+    return QuantumChannel(d=d, kraus=tuple(random_trace_preserving_kraus(d, n_kraus, [seed])[0]))
+
+
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-trace g g^dag of one complex-Ginibre draw g ``(n, n)``."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def spectrum_of(state) -> SchmidtSpectrum:

@@ -22,10 +22,9 @@ from densecode.suites import (
     dilation_suite,
     independence_suite,
     orthogonalize_suite,
-    random_spectrum,
 )
 
-from conftest import SEED
+from conftest import SEED, random_spectrum
 
 
 def _report(n, text):

@@ -10,13 +10,12 @@ from densecode.analysis import (
     verify_necessary_identities,
     weyl_witness,
 )
-from densecode.channels import random_trace_preserving_channel
+from densecode.channels import random_trace_preserving_kraus
 from densecode.encoding import UnitaryMessageSet
 from densecode.linalg import rng_from
 from densecode.states import SchmidtSpectrum, uniform_spectrum
-from densecode.suites import random_spectrum
 
-from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X, Z
+from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X, Z, random_spectrum
 
 
 def test_column_identity_trace_preserving_pair():
@@ -35,8 +34,8 @@ def test_column_identity_reveals_missing_mass():
 
 def test_column_identity_random_pairs():
     for k in range(100):
-        ch = random_trace_preserving_channel(int(2 + k % 3), 2, seed=900 + k)
-        assert np.max(two_kraus_column_identity(*ch.kraus)) < 1e-10
+        kraus = random_trace_preserving_kraus(int(2 + k % 3), 2, [900 + k])[0]
+        assert np.max(two_kraus_column_identity(*kraus)) < 1e-10
 
 
 def test_identities_weyl_witness_d2():

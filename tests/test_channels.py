@@ -6,31 +6,24 @@ from densecode import tolerances
 from densecode.channels import (
     DilationResult,
     QuantumChannel,
-    apply_channel,
-    apply_dilation,
     apply_kraus,
     containment_residuals,
-    dilated_state,
+    dilate,
     dilation_unitaries,
     dilation_unitary,
-    kraus_rank,
     kraus_ranks,
-    lifted_kraus_states,
-    orthogonality_roots,
-    orthogonalize_kraus_pair,
+    lifted_kraus,
+    orthogonality_quadratics,
     orthogonalize_kraus_pairs,
-    random_trace_preserving_channel,
     random_trace_preserving_kraus,
-    support_containment_check,
     support_projector,
     trace_out_ancilla_state,
 )
 from densecode.linalg import (
     complete_to_unitary,
-    gram,
     hermitian_eigenvalues,
     max_abs,
-    random_unitary,
+    random_unitaries,
     rng_from,
     unitarity_defect,
 )
@@ -43,13 +36,28 @@ from densecode.states import (
     schmidt_coords,
     uniform_spectrum,
 )
-from densecode.suites import random_density, random_spectrum
 
-from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X
+from conftest import (
+    EXAMPLE_C,
+    EXAMPLE_T,
+    EXAMPLE_Y,
+    I2,
+    X,
+    random_channel,
+    random_density,
+    random_spectrum,
+)
 
 
 def example_channel():
     return QuantumChannel(d=2, kraus=(EXAMPLE_T, EXAMPLE_Y, EXAMPLE_C))
+
+
+def lifted_rank(kraus, psi):
+    """Rank of the Gram matrix of the lifted Kraus states, counted from its eigenvalues."""
+    lifted = lifted_kraus(kraus, psi.coords)
+    eigs = hermitian_eigenvalues(lifted.conj() @ lifted.T)
+    return int(np.sum(eigs > 1e-9 * eigs[0]))
 
 
 def test_channel_rejects_supernormalized():
@@ -73,13 +81,13 @@ def test_channel_freezes_copies_not_caller_arrays(dtype):
 def test_apply_identity_channel(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     rho = psi.density()
-    out = apply_channel(QuantumChannel(d=2, kraus=(I2,)), rho)
+    out = apply_kraus(QuantumChannel(d=2, kraus=(I2,)).stacked(), rho)
     assert max_abs(out - rho) == 0.0
 
 
 def test_apply_single_shift_channel(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
-    out = apply_channel(QuantumChannel(d=2, kraus=(X,)), psi.density())
+    out = apply_kraus(QuantumChannel(d=2, kraus=(X,)).stacked(), psi.density())
     shifted = apply_local(X, psi).coords
     assert max_abs(out - np.outer(shifted, shifted.conj())) < 1e-15
 
@@ -87,7 +95,7 @@ def test_apply_single_shift_channel(example_spectrum):
 def test_example_channel_branch_weights(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     ch = example_channel()
-    out = apply_channel(ch, psi.density())
+    out = apply_kraus(ch.stacked(), psi.density())
     assert abs(np.trace(out).real - 1.0) < 1e-12
     weights = [apply_local(k, psi).norm() ** 2 for k in ch.kraus]
     assert abs(weights[0] - 79 / 162) < 1e-12
@@ -110,18 +118,19 @@ def lifted_reference(channel, rho):
     scale=st.sampled_from((1.0, 0.5)),
 )
 def test_apply_channel_matches_lifted_reference(d, n_kraus, seed, scale):
-    tp = random_trace_preserving_channel(d, n_kraus, seed=seed)
-    ch = QuantumChannel(d=d, kraus=tuple(scale * k for k in tp.kraus))
+    tp = random_trace_preserving_kraus(d, n_kraus, [seed])[0]
+    ch = QuantumChannel(d=d, kraus=tuple(scale * tp))
     rho = random_density(d * d, rng_from(seed))
-    assert max_abs(apply_channel(ch, rho) - lifted_reference(ch, rho)) <= tolerances.get().equality
+    out = apply_kraus(ch.stacked(), rho)
+    assert max_abs(out - lifted_reference(ch, rho)) <= tolerances.get().equality
 
 
 def test_random_channel_slices_dilation_rows():
     # K_r[i, j] = u[i * n + r, j] for the seeded random unitary u.
     for d, n in ((2, 1), (2, 3), (3, 2), (4, 4)):
-        u = random_unitary(d * n, seed=d + n)
-        ch = random_trace_preserving_channel(d, n, seed=d + n)
-        for r, k in enumerate(ch.kraus):
+        u = random_unitaries(d * n, [d + n])[0]
+        kraus = random_trace_preserving_kraus(d, n, [d + n])[0]
+        for r, k in enumerate(kraus):
             expected = np.empty((d, d), dtype=complex)
             for i in range(d):
                 for j in range(d):
@@ -131,49 +140,44 @@ def test_random_channel_slices_dilation_rows():
 
 def test_trace_preservation_on_random_inputs():
     rng = rng_from(51)
-    ch = random_trace_preserving_channel(3, 2, seed=8)
+    kraus = random_trace_preserving_kraus(3, 2, [8])[0]
     for _ in range(5):
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        out = apply_channel(ch, rho)
+        out = apply_kraus(kraus, rho)
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
 
 def test_kraus_rank_unitary():
-    assert kraus_rank(QuantumChannel(d=2, kraus=(I2,))) == 1
+    assert kraus_ranks(QuantumChannel(d=2, kraus=(I2,)).stacked()) == 1
 
 
 def test_kraus_rank_dependent_pair():
     k = X / np.sqrt(5.0)
-    assert kraus_rank(QuantumChannel(d=2, kraus=(k, 2.0 * k))) == 1
+    assert kraus_ranks(QuantumChannel(d=2, kraus=(k, 2.0 * k)).stacked()) == 1
 
 
 def test_kraus_rank_example_triple():
-    ch = example_channel()
-    assert kraus_rank(ch) == 3
+    kraus = example_channel().stacked()
+    assert kraus_ranks(kraus) == 3
     # Gram-eigenvalue oracle agrees.
-    g = gram([k.reshape(-1) for k in ch.kraus])
-    eigs = hermitian_eigenvalues(g)
+    flat = kraus.reshape(3, -1)
+    eigs = hermitian_eigenvalues(flat.conj() @ flat.T)
     assert int(np.sum(eigs > 1e-9 * eigs[0])) == 3
 
 
 def test_lifted_states_orthogonal_unitaries():
     psi = make_schmidt_state(SchmidtSpectrum.from_values([0.7, 0.3]))
-    ch = QuantumChannel(d=2, kraus=(I2 / np.sqrt(2), X / np.sqrt(2)))
-    lifted = lifted_kraus_states(ch, psi)
-    g = gram([s.coords for s in lifted])
-    eigs = hermitian_eigenvalues(g)
-    assert int(np.sum(eigs > 1e-9 * eigs[0])) == 2
+    assert lifted_rank(np.stack((I2, X)) / np.sqrt(2), psi) == 2
 
 
 def test_lifted_states_example_pair(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
-    ch = QuantumChannel(d=2, kraus=(EXAMPLE_T, EXAMPLE_Y))
-    lifted = lifted_kraus_states(ch, psi)
-    assert abs(lifted[0].norm() ** 2 - 79 / 162) < 1e-12
-    assert abs(lifted[1].norm() ** 2 - 79 / 162) < 1e-12
-    assert abs(np.vdot(lifted[0].coords, lifted[1].coords)) < 1e-12
+    lifted = lifted_kraus(np.stack((EXAMPLE_T, EXAMPLE_Y)), psi.coords)
+    assert abs(np.linalg.norm(lifted[0]) ** 2 - 79 / 162) < 1e-12
+    assert abs(np.linalg.norm(lifted[1]) ** 2 - 79 / 162) < 1e-12
+    assert abs(np.vdot(lifted[0], lifted[1])) < 1e-12
 
 
 def test_lifted_states_random_full_rank():
@@ -183,27 +187,21 @@ def test_lifted_states_random_full_rank():
     )
     ch = QuantumChannel(d=3, kraus=kraus)
     psi = make_schmidt_state(random_spectrum(3, rng))
-    g = gram([s.coords for s in lifted_kraus_states(ch, psi)])
-    eigs = hermitian_eigenvalues(g)
-    assert int(np.sum(eigs > 1e-9 * eigs[0])) == 3
+    assert lifted_rank(ch.stacked(), psi) == 3
 
 
 def test_lifted_rank_tracks_kraus_rank_for_dependent_pair():
     k = X / np.sqrt(5.0)
-    ch = QuantumChannel(d=2, kraus=(k, 2.0 * k))
+    kraus = QuantumChannel(d=2, kraus=(k, 2.0 * k)).stacked()
     psi = make_schmidt_state(SchmidtSpectrum.from_values([0.6, 0.4]))
-    g = gram([s.coords for s in lifted_kraus_states(ch, psi)])
-    eigs = hermitian_eigenvalues(g)
-    rank = int(np.sum(eigs > 1e-9 * eigs[0]))
-    assert rank == kraus_rank(ch) == 1
+    assert lifted_rank(kraus, psi) == kraus_ranks(kraus) == 1
 
 
 def test_lifted_states_reject_zero_coefficient():
     coords = np.zeros(4, dtype=complex)
     coords[0] = 1.0  # second Schmidt amplitude vanishes
-    psi = BipartiteState(d=2, coords=coords)
-    with pytest.raises(ValueError):
-        lifted_kraus_states(QuantumChannel(d=2, kraus=(I2,)), psi)
+    with pytest.raises(ValueError, match="lifted_kraus: zero Schmidt coefficient"):
+        lifted_kraus(QuantumChannel(d=2, kraus=(I2,)).stacked(), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def test_lifted_states_reject_zero_coefficient():
 # ---------------------------------------------------------------------------
 
 def test_dilation_of_unitary_channel_is_itself():
-    u = random_unitary(3, seed=14)
+    u = random_unitaries(3, [14])[0]
     dil = dilation_unitary(QuantumChannel(d=3, kraus=(u,)), seed=2)
     assert dil.ancilla_dim == 1
     assert max_abs(dil.u_tilde - u) == 0.0
@@ -236,9 +234,23 @@ def dilation_loop_reference(channel, seed):
     return u
 
 
+def dilated_state_reference(channel, psi):
+    """Joint (system x ancilla) vector: each lifted Kraus branch tagged by an ancilla level.
+
+    Flat index = (joint two-qudit index) * N + ancilla level.  What ``dilate``
+    must produce from the dilation of ``channel`` and ancilla level 0.
+    """
+    branches = [apply_local(k, psi).coords for k in channel.kraus]
+    n_anc = len(branches)
+    out = np.zeros(psi.d * psi.d * n_anc, dtype=complex)
+    for r, branch in enumerate(branches):
+        out[r::n_anc] = branch
+    return out
+
+
 def test_dilation_matches_loop_reference():
     for d, n in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2)):
-        ch = random_trace_preserving_channel(d, n, seed=20 + d * n)
+        ch = random_channel(d, n, 20 + d * n)
         got = dilation_unitary(ch, seed=d * n).u_tilde
         assert np.array_equal(got, dilation_loop_reference(ch, d * n))
     triple = example_channel()
@@ -256,15 +268,15 @@ def test_dilation_reproduces_branch_superposition(example_spectrum):
     dil = dilation_unitary(ch, seed=6)
     assert dil.u_tilde.shape == (6, 6)
     assert unitarity_defect(dil.u_tilde) < 1e-10
-    assert max_abs(apply_dilation(dil, psi) - dilated_state(ch, psi)) < 1e-12
+    assert max_abs(dilate(dil.u_tilde, psi.coords) - dilated_state_reference(ch, psi)) < 1e-12
 
 
 def test_dilation_matches_operator_sum(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     ch = example_channel()
     dil = dilation_unitary(ch, seed=6)
-    reduced = trace_out_ancilla_state(apply_dilation(dil, psi), dil.ancilla_dim)
-    assert max_abs(reduced - apply_channel(ch, psi.density())) < 1e-12
+    reduced = trace_out_ancilla_state(dilate(dil.u_tilde, psi.coords), dil.ancilla_dim)
+    assert max_abs(reduced - apply_kraus(ch.stacked(), psi.density())) < 1e-12
 
 
 # One channel draw: dimension, Kraus count, channel and completion seeds, and
@@ -289,25 +301,25 @@ def spectrum_from_weights(weights, d):
 )
 def test_dilation_then_trace_is_channel_property(d, n_kraus, channel_seed, dilation_seed, weights):
     psi = make_schmidt_state(spectrum_from_weights(weights, d))
-    ch = random_trace_preserving_channel(d, n_kraus, seed=channel_seed)
+    ch = random_channel(d, n_kraus, channel_seed)
     dil = dilation_unitary(ch, seed=dilation_seed)
-    reduced = trace_out_ancilla_state(apply_dilation(dil, psi), dil.ancilla_dim)
-    assert max_abs(reduced - apply_channel(ch, psi.density())) <= tolerances.get().equality
+    reduced = trace_out_ancilla_state(dilate(dil.u_tilde, psi.coords), dil.ancilla_dim)
+    assert max_abs(reduced - apply_kraus(ch.stacked(), psi.density())) <= tolerances.get().equality
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(**channel_cases)
 def test_orthogonalization_keeps_channel_property(d, channel_seed, weights):
     psi = make_schmidt_state(spectrum_from_weights(weights, d))
-    ch = random_trace_preserving_channel(d, 2, seed=channel_seed)
-    _, r0, r1 = orthogonalize_kraus_pair(*ch.kraus, psi)
+    kraus = random_trace_preserving_kraus(d, 2, [channel_seed])
+    _, mixed = orthogonalize_kraus_pairs(kraus, psi.coords[None])
     rho = psi.density()
-    after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
-    assert max_abs(after - apply_channel(ch, rho)) <= tolerances.get().equality
+    after = apply_kraus(mixed[0], rho)
+    assert max_abs(after - apply_kraus(kraus[0], rho)) <= tolerances.get().equality
 
 
 def test_dilation_basis_action():
-    ch = random_trace_preserving_channel(2, 3, seed=15)
+    ch = random_channel(2, 3, 15)
     dil = dilation_unitary(ch, seed=3)
     for i in range(2):
         col = dil.u_tilde[:, i * 3]
@@ -324,73 +336,80 @@ def test_dilation_basis_action():
 
 def test_orthogonalize_already_orthogonal_pair():
     psi = make_schmidt_state(uniform_spectrum(2))
-    result, r0, r1 = orthogonalize_kraus_pair(I2 / np.sqrt(2), X / np.sqrt(2), psi)
-    assert max_abs(result.v - np.eye(2)) == 0.0
-    assert result.z == 0.0
-    assert result.residual == 0.0
-    assert max_abs(r0 - I2 / np.sqrt(2)) == 0.0
+    pair = np.stack((I2, X)) / np.sqrt(2)
+    result, mixed = orthogonalize_kraus_pairs(pair[None], psi.coords[None])
+    assert max_abs(result.v[0] - np.eye(2)) == 0.0
+    assert result.z[0] == 0.0
+    assert result.residual[0] == 0.0
+    assert max_abs(mixed[0] - pair) == 0.0
 
 
 def test_orthogonalize_random_pairs():
     for k, d in enumerate((2, 3, 4) * 7):
         rng = rng_from(60, k)
-        ch = random_trace_preserving_channel(d, 2, seed=61 + k)
+        kraus = random_trace_preserving_kraus(d, 2, [61 + k])
         psi = make_schmidt_state(random_spectrum(d, rng))
-        result, r0, r1 = orthogonalize_kraus_pair(*ch.kraus, psi)
-        phi0 = apply_local(r0, psi).coords
-        phi1 = apply_local(r1, psi).coords
+        result, mixed = orthogonalize_kraus_pairs(kraus, psi.coords[None])
+        phi0, phi1 = (apply_local(m, psi).coords for m in mixed[0])
         assert abs(np.vdot(phi0, phi1)) < 1e-10
         assert unitarity_defect(result.v) < 1e-12
-        assert abs(result.z - np.exp(1j * result.xi) * np.tan(result.theta)) < 1e-12
+        assert abs(result.z[0] - np.exp(1j * result.xi[0]) * np.tan(result.theta[0])) < 1e-12
         # Chosen root never exceeds modulus one (the two roots are reciprocal).
-        assert abs(result.z) <= 1.0 + 1e-12
+        assert abs(result.z[0]) <= 1.0 + 1e-12
         rho = psi.density()
-        before = apply_channel(ch, rho)
-        after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
-        assert max_abs(before - after) < 1e-10
+        assert max_abs(apply_kraus(kraus[0], rho) - apply_kraus(mixed[0], rho)) < 1e-10
 
 
 def test_orthogonalization_residual_is_the_quadratic_residual():
     for k, d in enumerate((2, 3, 4) * 4):
-        ch = random_trace_preserving_channel(d, 2, seed=70 + k)
+        kraus = random_trace_preserving_kraus(d, 2, [70 + k])
         psi = make_schmidt_state(random_spectrum(d, rng_from(71, k)))
-        result, _, _ = orthogonalize_kraus_pair(*ch.kraus, psi)
-        phi0, phi1 = (apply_local(m, psi).coords for m in ch.kraus)
-        assert result.residual == orthogonality_roots(phi0, phi1)[1]
+        result, _ = orthogonalize_kraus_pairs(kraus, psi.coords[None])
+        phi0, phi1 = (apply_local(m, psi).coords for m in kraus[0])
+        _, residual, orthogonal = orthogonality_quadratics(phi0[None], phi1[None])
+        assert not orthogonal[0]
+        assert result.residual[0] == residual[0]
 
 
 def test_orthogonalize_rejects_dependent_pair():
     psi = make_schmidt_state(uniform_spectrum(2))
     k = I2 / np.sqrt(2.0)
-    with pytest.raises(ValueError):
-        orthogonalize_kraus_pair(k, k, psi)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        orthogonalize_kraus_pairs(np.stack((k, k))[None], psi.coords[None])
 
 
 def test_unitary_mixing_leaves_channel_invariant():
     rng = rng_from(62)
-    ch = random_trace_preserving_channel(3, 2, seed=63)
-    v = random_unitary(2, seed=64)
-    k0, k1 = ch.kraus
+    kraus = random_trace_preserving_kraus(3, 2, [63])[0]
+    v = random_unitaries(2, [64])[0]
+    k0, k1 = kraus
     mixed = QuantumChannel(
         d=3, kraus=(v[0, 0] * k0 + v[0, 1] * k1, v[1, 0] * k0 + v[1, 1] * k1)
-    )
+    ).stacked()
     for _ in range(3):
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        assert max_abs(apply_channel(ch, rho) - apply_channel(mixed, rho)) < 1e-12
+        assert max_abs(apply_kraus(kraus, rho) - apply_kraus(mixed, rho)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Support containment under ancilla measurement
 # ---------------------------------------------------------------------------
 
+def containment(channel, psi, measurement, seed):
+    """Outcome probabilities and residuals of one channel: ``containment_residuals`` of a one-item stack."""
+    prob, residual = containment_residuals(
+        channel.stacked()[None], psi.coords[None], np.stack(measurement)[None], [seed]
+    )
+    return prob[0], residual[0]
+
+
 def test_containment_trivial_measurement(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
-    ch = example_channel()
-    report = support_containment_check(ch, psi, [np.eye(3)], seed=7)
-    assert report.passed
-    assert report.max_residual < 1e-12
+    prob, residual = containment(example_channel(), psi, [np.eye(3)], seed=7)
+    assert abs(prob[0] - 1.0) < 1e-12
+    assert residual.max() < 1e-12
 
 
 def test_containment_example_projective_measurement(example_spectrum):
@@ -398,11 +417,12 @@ def test_containment_example_projective_measurement(example_spectrum):
     ch = example_channel()
     m0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     m1 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    report = support_containment_check(ch, psi, [m0, m1], seed=7)
-    assert report.passed
+    prob, residual = containment(ch, psi, [m0, m1], seed=7)
+    assert residual.max() < tolerances.get().containment
+    assert max_abs(prob - [79 / 81, 2 / 81]) < 1e-12
 
     # Outcome 0 keeps the two-branch plane; outcome 1 collapses onto |00>.
-    joint = dilated_state(ch, psi)
+    joint = dilated_state_reference(ch, psi)
     post0 = (joint.reshape(4, 3) @ m0.T).reshape(-1)
     rho0 = trace_out_ancilla_state(post0, 3)
     t_lift = apply_local(EXAMPLE_T, psi).coords
@@ -421,14 +441,12 @@ def test_containment_example_projective_measurement(example_spectrum):
 
 def test_containment_rejects_incomplete_measurement(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
-    with pytest.raises(ValueError):
-        support_containment_check(
-            example_channel(), psi, [np.diag([1.0, 1.0, 0.0])], seed=1
-        )
+    with pytest.raises(ValueError, match="incomplete measurement set"):
+        containment(example_channel(), psi, [np.diag([1.0, 1.0, 0.0]).astype(complex)], seed=1)
 
 
 # ---------------------------------------------------------------------------
-# Stacked kernels: the per-channel functions are their one-item cases
+# Stacked kernels: each stack item equals the kernel run on it alone
 # ---------------------------------------------------------------------------
 
 def stacked_pairs(d, seeds, spectra):
@@ -446,13 +464,12 @@ def test_orthogonalize_kraus_pair_is_a_stacked_slice():
             coords[1] = make_schmidt_state(uniform_spectrum(2)).coords
         res, mixed = orthogonalize_kraus_pairs(kraus, coords)
         for i in range(5):
-            psi = BipartiteState(d=d, coords=coords[i])
-            one, s0, s1 = orthogonalize_kraus_pair(kraus[i, 0], kraus[i, 1], psi)
-            assert np.array_equal(one.v, res.v[i])
-            assert (one.z, one.theta, one.xi, one.residual) == (
+            one, alone = orthogonalize_kraus_pairs(kraus[i : i + 1], coords[i : i + 1])
+            assert np.array_equal(one.v[0], res.v[i])
+            assert (one.z[0], one.theta[0], one.xi[0], one.residual[0]) == (
                 res.z[i], res.theta[i], res.xi[i], res.residual[i]
             )
-            assert np.array_equal(s0, mixed[i, 0]) and np.array_equal(s1, mixed[i, 1])
+            assert np.array_equal(alone[0], mixed[i])
     assert res.residual.shape == (5,)
 
 
@@ -487,11 +504,12 @@ def test_stacked_channel_kernels_are_one_by_one():
     u = dilation_unitaries(kraus, [7, 8, 9])
     prob, residual = containment_residuals(kraus, coords, measurements, [7, 8, 9])
     for i, seed in enumerate(seeds):
-        ch = random_trace_preserving_channel(2, 3, seed)
-        psi = BipartiteState(d=2, coords=coords[i])
-        assert np.array_equal(out[i], apply_channel(ch, rho[i]))
+        ch = random_channel(2, 3, seed)
+        assert np.array_equal(ch.stacked(), kraus[i])
+        assert np.array_equal(out[i], apply_kraus(kraus[i], rho[i]))
         assert np.array_equal(u[i], dilation_unitary(ch, 7 + i).u_tilde)
-        report = support_containment_check(ch, psi, measurements[i], 7 + i)
-        assert [o.probability for o in report.outcomes] == list(prob[i])
-        assert [o.residual for o in report.outcomes] == list(residual[i])
-        assert kraus_rank(ch) == kraus_ranks(kraus)[i] == 3
+        psi = BipartiteState(d=2, coords=coords[i])
+        one_prob, one_residual = containment(ch, psi, measurements[i], 7 + i)
+        assert list(one_prob) == list(prob[i])
+        assert list(one_residual) == list(residual[i])
+        assert kraus_ranks(kraus[i]) == kraus_ranks(kraus)[i] == 3

@@ -231,3 +231,28 @@ def test_tolerance_override_is_scoped_to_one_call(capsys):
     with pytest.raises(SystemExit):
         main(["--tol-equality", "1e-30", "--help"])
     assert tolerances.get() == before
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-1"))
+def test_tolerance_override_refuses_non_finite_and_negative(capsys, value):
+    import densecode.tolerances as tolerances
+
+    before = tolerances.get()
+    code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.4", "--tol-bundle", value)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert (doc["schema"], doc["kind"]) == ("densecode/1", "error")
+    assert doc["error"] == f"tolerance bundle must be finite and >= 0, got {float(value)!r}"
+    assert tolerances.get() == before
+    with pytest.raises(ValueError, match="tolerance bundle must be finite"):
+        with tolerances.using(bundle=float(value)):
+            pass
+    assert tolerances.get() == before
+
+
+def test_spectrum_sum_error_names_a_plain_float(capsys):
+    code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.5")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "SchmidtSpectrum: coefficients sum to 1.1, not 1"

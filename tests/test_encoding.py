@@ -27,9 +27,8 @@ from densecode.encoding import (
 )
 from densecode.linalg import dagger, max_abs, rng_from, unitarity_defect
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
-from densecode.suites import random_spectrum
 
-from conftest import I2, X, Z
+from conftest import I2, X, Z, random_spectrum
 
 
 def test_message_set_rejects_non_unitary():
@@ -71,9 +70,9 @@ def test_certificate_phase_and_left_multiplication_invariance():
         d=2, unitaries=(np.exp(0.7j) * I2, np.exp(-1.2j) * X)
     )
     assert abs(certify_distinguishable(phased, psi).gram_defect - cert0.gram_defect) < 1e-12
-    from densecode.linalg import random_unitary
+    from densecode.linalg import random_unitaries
 
-    g = random_unitary(2, seed=72)
+    g = random_unitaries(2, [72])[0]
     rotated = UnitaryMessageSet(d=2, unitaries=(g @ I2, g @ X))
     assert certify_distinguishable(rotated, psi).passed == cert0.passed
 

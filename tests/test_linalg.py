@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from densecode import linalg, tolerances
+from densecode import tolerances
+from densecode.encoding import certify_lifted
 from densecode.linalg import (
     complete_to_unitary,
-    gram,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     max_abs,
+    numerical_ranks,
+    random_unitaries,
     rng_from,
     sqrt_psd_diagonal,
     unitarity_defect,
@@ -50,34 +52,20 @@ def test_kron_associativity():
 
 
 def test_gram_orthonormal_pair():
-    g = gram([np.array([1, 0, 0]), np.array([0, 1, 0])])
-    assert max_abs(g - np.eye(2)) == 0.0
+    cert = certify_lifted(np.array([[1, 0, 0], [0, 1, 0]], dtype=complex))
+    assert cert.gram_defect == 0.0 and cert.passed
 
 
 def test_gram_repeated_vector():
     u = np.array([1 + 2j, 3.0, -1j])
-    g = gram([u, u])
-    norm2 = float(np.vdot(u, u).real)
-    assert max_abs(g - norm2 * np.ones((2, 2))) < 1e-12
+    assert numerical_ranks(np.stack((u, u))) == 1
+    unit = u / np.linalg.norm(u)
+    cert = certify_lifted(np.stack((unit, unit)))  # the Gram matrix is all ones
+    assert abs(cert.gram_defect - 1.0) < 1e-12 and not cert.passed
 
 
 def test_gram_of_example_columns_is_identity():
-    g = gram([EXAMPLE_M[:, k] for k in range(4)])
-    assert max_abs(g - np.eye(4)) < 1e-12
-
-
-def test_gram_is_psd():
-    rng = rng_from(13)
-    for _ in range(10):
-        vecs = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(4)]
-        g = gram(vecs)
-        assert max_abs(g - g.conj().T) < 1e-12
-        assert hermitian_eigenvalues(g)[-1] > -1e-9
-
-
-def test_gram_dimension_mismatch():
-    with pytest.raises(ValueError):
-        gram([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+    assert certify_lifted(EXAMPLE_M.T).gram_defect < 1e-12
 
 
 def test_completion_of_standard_basis():
@@ -98,7 +86,7 @@ def test_completion_reproduces_inputs_bit_exactly():
 
 
 def test_completion_of_full_unitary_is_noop():
-    u = linalg.random_unitary(4, seed=9)
+    u = random_unitaries(4, [9])[0]
     m = complete_to_unitary([u[:, k] for k in range(4)], seed=1)
     assert np.array_equal(m, u)
 
@@ -128,7 +116,7 @@ def test_random_unitary_matches_gram_schmidt_completion():
     # empty set, so the two agree to rounding.
     for n in range(1, 13):
         for seed in range(4):
-            u = linalg.random_unitary(n, seed=seed)
+            u = random_unitaries(n, [seed])[0]
             assert unitarity_defect(u) <= tolerances.get().unitarity
             assert max_abs(u - complete_to_unitary((), seed, dim=n)) <= 1e-13
 
@@ -136,16 +124,16 @@ def test_random_unitary_matches_gram_schmidt_completion():
 def test_random_unitaries_slices_are_random_unitary():
     seeds = [0, 7, 12345, 2 ** 64 - 1]
     for n in (1, 2, 4, 6, 9):
-        stack = linalg.random_unitaries(n, seeds)
+        stack = random_unitaries(n, seeds)
         assert stack.shape == (len(seeds), n, n)
         for u, seed in zip(stack, seeds):
-            assert np.array_equal(u, linalg.random_unitary(n, seed))
+            assert np.array_equal(u, random_unitaries(n, [seed])[0])
 
 
 def test_completion_ignores_input_memory_layout():
     # Rows of a transposed array are strided; the completion copies them
     # contiguous, so it returns the same bytes as for a list of columns.
-    cols = linalg.random_unitary(6, seed=5)[:, :4]
+    cols = random_unitaries(6, [5])[0][:, :4]
     from_view = complete_to_unitary(cols.T, seed=8)
     assert np.array_equal(from_view, complete_to_unitary(list(cols.T.copy()), seed=8))
     assert np.array_equal(from_view[:, :4], cols)
@@ -157,11 +145,11 @@ def test_stacked_eigensystems_and_ranks_match_one_by_one():
     g[2, 2] = g[2, 0] + 2j * g[2, 1]  # one dependent collection
     h = g.conj() @ np.swapaxes(g, -1, -2)
     w, v = hermitian_eigensystem(h)
-    ranks = linalg.numerical_ranks(g)
+    ranks = numerical_ranks(g)
     for k in range(5):
         wk, vk = hermitian_eigensystem(h[k])
         assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-        assert ranks[k] == linalg.numerical_rank(list(g[k]))
+        assert ranks[k] == numerical_ranks(g[k])
     assert list(ranks) == [3, 3, 2, 3, 3]
 
 

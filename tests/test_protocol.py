@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from densecode import protocol, tolerances
-from densecode.channels import apply_dilation
+from densecode.channels import dilate
 from densecode.encoding import UnitaryMessageSet, certify_distinguishable, search_message_set, weyl_set
 from densecode.linalg import max_abs, rng_from
 from densecode.protocol import (
@@ -452,7 +452,7 @@ def test_bundle_states_property(lam0):
     eq = tolerances.get().equality
     assert max_abs(sum(decoder.projectors) - np.eye(4)) <= eq
     final = encode_message(bundle, 2, VARIANT_NO_MEASURE, None)
-    dilated = apply_dilation(bundle.dilation, make_schmidt_state(spectrum))
+    dilated = dilate(bundle.dilation.u_tilde, make_schmidt_state(spectrum).coords)
     assert max_abs(final.state - dilated) <= eq
     for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
         for index in range(bundle.n_messages):

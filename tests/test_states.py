@@ -3,23 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from densecode.linalg import max_abs, rng_from
+from densecode.channels import trace_out_ancilla_state
+from densecode.linalg import max_abs, random_unitaries, rng_from
 from densecode.states import (
     BipartiteState,
     SchmidtSpectrum,
     apply_local,
-    basis_index,
     make_schmidt_state,
     parse_spectrum,
-    partial_trace_ancilla,
     uniform_spectrum,
 )
 
-from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X, kron, spectrum_of
+from conftest import EXAMPLE_C, EXAMPLE_T, EXAMPLE_Y, I2, X, basis_index, kron, spectrum_of
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^SchmidtSpectrum: coefficients sum to 1\.1, not 1$"):
         SchmidtSpectrum(d=2, lambdas=(0.6, 0.5))
     with pytest.raises(ValueError):
         SchmidtSpectrum(d=2, lambdas=(1.0, 0.0))
@@ -125,11 +124,9 @@ def test_apply_local_composition():
 
 
 def test_apply_local_unitary_preserves_norm(example_spectrum):
-    from densecode.linalg import random_unitary
-
     psi = make_schmidt_state(example_spectrum)
     for seed in range(5):
-        out = apply_local(random_unitary(2, seed), psi)
+        out = apply_local(random_unitaries(2, [seed])[0], psi)
         assert abs(out.norm() - 1.0) < 1e-12
         assert out.normalized
 
@@ -148,33 +145,27 @@ def test_bipartite_state_validation():
 
 def test_partial_trace_product_state():
     rng = rng_from(44)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    anc = np.zeros((3, 3), dtype=complex)
-    anc[0, 0] = 1.0
-    joint = kron(rho, anc)
-    assert max_abs(partial_trace_ancilla(joint, 3) - rho) < 1e-12
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    anc = np.zeros(3, dtype=complex)
+    anc[0] = 1.0
+    joint = np.kron(v, anc)  # joint index = system * 3 + ancilla
+    assert max_abs(trace_out_ancilla_state(joint, 3) - np.outer(v, v.conj())) < 1e-12
 
 
 def test_partial_trace_maximally_mixed():
-    joint = np.eye(12, dtype=complex) / 12
-    out = partial_trace_ancilla(joint, 3)
+    # The maximally mixed joint state is the mean of the basis projectors.
+    out = trace_out_ancilla_state(np.eye(12, dtype=complex), 3).mean(axis=0)
     assert max_abs(out - np.eye(4) / 4) < 1e-14
 
 
 def test_partial_trace_preserves_trace():
     rng = rng_from(45)
-    g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    out = partial_trace_ancilla(rho, 3)
-    assert abs(np.trace(out).real - 1.0) < 1e-12
-
-
-def test_partial_trace_dimension_error():
-    with pytest.raises(ValueError):
-        partial_trace_ancilla(np.eye(10, dtype=complex) / 10, 3)
+    g = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    out = trace_out_ancilla_state(g, 3)
+    assert out.shape == (5, 4, 4)
+    assert np.all(np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0) < 1e-12)
 
 
 def test_partial_trace_of_branch_superposition(example_spectrum):
@@ -184,8 +175,7 @@ def test_partial_trace_of_branch_superposition(example_spectrum):
     joint = np.zeros(12, dtype=complex)
     for r, b in enumerate(branches):
         joint[r::3] = b
-    rho = np.outer(joint, joint.conj())
-    reduced = partial_trace_ancilla(rho, 3)
+    reduced = trace_out_ancilla_state(joint, 3)
     expected = sum(np.outer(b, b.conj()) for b in branches)
     assert max_abs(reduced - expected) < 1e-14
     assert abs(np.trace(reduced).real - 1.0) < 1e-12

@@ -1,8 +1,9 @@
 """The stacked verification suites against per-configuration loop references.
 
-Each reference below is the suite as one loop over configurations through
-the per-object API: it draws configuration k from ``rng_from(seed, k)`` and
-the fixed seed offsets, evaluates it on its own and keeps the worst defect.
+Each reference below is the suite as one loop over configurations, each run
+through the kernels as a one-item stack: it draws configuration k from
+``rng_from(seed, k)`` and the fixed seed offsets, evaluates it on its own and
+keeps the worst defect.
 The stacked suites must see the same configurations and report the same
 defects to 1e-14 (the independence mismatch count exactly).
 """
@@ -12,17 +13,17 @@ import pytest
 
 from densecode.channels import (
     QuantumChannel,
-    apply_channel,
-    apply_dilation,
+    apply_kraus,
+    containment_residuals,
+    dilate,
     dilation_unitary,
-    kraus_rank,
-    lifted_kraus_states,
-    orthogonalize_kraus_pair,
-    random_trace_preserving_channel,
-    support_containment_check,
+    kraus_ranks,
+    lifted_kraus,
+    orthogonalize_kraus_pairs,
+    random_trace_preserving_kraus,
     trace_out_ancilla_state,
 )
-from densecode.linalg import hermitian_eigensystem, max_abs, numerical_rank, rng_from
+from densecode.linalg import hermitian_eigensystem, max_abs, numerical_ranks, rng_from
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state
 from densecode.suites import (
     containment_suite,
@@ -35,7 +36,7 @@ from densecode.suites import (
     orthogonalize_suite,
 )
 
-from conftest import SEED
+from conftest import SEED, random_channel
 
 
 def loop_spectrum(d, rng):
@@ -55,15 +56,16 @@ def dilation_loop(seed, configs=50):
         rng = rng_from(seed, k)
         d = int(rng.integers(2, 4))
         n_kraus = int(rng.integers(2, 4))
-        channel = random_trace_preserving_channel(d, n_kraus, seed + 1000 + k)
+        channel = random_channel(d, n_kraus, seed + 1000 + k)
         spectrum = loop_spectrum(d, rng)
         seen.append((d, n_kraus, spectrum.lambdas))
         psi = make_schmidt_state(spectrum)
         dil = dilation_unitary(channel, seed + 2000 + k)
         m = dil.u_tilde
         unitarity = max(unitarity, max_abs(m.conj().T @ m - np.eye(m.shape[0])))
-        reduced = trace_out_ancilla_state(apply_dilation(dil, psi), dil.ancilla_dim)
-        agreement = max(agreement, max_abs(reduced - apply_channel(channel, psi.density())))
+        reduced = trace_out_ancilla_state(dilate(m, psi.coords), dil.ancilla_dim)
+        direct = apply_kraus(channel.stacked(), psi.density())
+        agreement = max(agreement, max_abs(reduced - direct))
     return seen, {"dilation-unitarity": unitarity, "partial-trace-agreement": agreement}
 
 
@@ -72,16 +74,17 @@ def orthogonalize_loop(seed, configs=100):
     for k in range(configs):
         rng = rng_from(seed, k)
         d = (2, 3, 4)[k % 3]
-        channel = random_trace_preserving_channel(d, 2, seed + 3000 + k)
+        channel = random_channel(d, 2, seed + 3000 + k)
         spectrum = loop_spectrum(d, rng)
         seen.append((d, 2, spectrum.lambdas))
         psi = make_schmidt_state(spectrum)
-        result, r0, r1 = orthogonalize_kraus_pair(*channel.kraus, psi)
+        result, mixed = orthogonalize_kraus_pairs(channel.stacked()[None], psi.coords[None])
+        r0, r1 = mixed[0]
         overlap = max(overlap, abs(np.vdot(apply_local(r0, psi).coords, apply_local(r1, psi).coords)))
         rho = loop_density(d * d, rng)
-        after = apply_channel(QuantumChannel(d=d, kraus=(r0, r1)), rho)
-        action = max(action, max_abs(apply_channel(channel, rho) - after))
-        residual = max(residual, result.residual)
+        after = apply_kraus(mixed[0], rho)
+        action = max(action, max_abs(apply_kraus(channel.stacked(), rho) - after))
+        residual = max(residual, float(result.residual[0]))
     return seen, {
         "lifted-overlap": overlap,
         "channel-action-deviation": action,
@@ -98,14 +101,14 @@ def independence_loop(seed, configs=100):
         kraus = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(size)]
         top = hermitian_eigensystem(sum(m.conj().T @ m for m in kraus))[0][0]
         channel = QuantumChannel(d=d, kraus=tuple(0.9 / np.sqrt(top) * m for m in kraus))
-        if kraus_rank(channel) != size:
+        if kraus_ranks(channel.stacked()) != size:
             seen.append((d, size, None))
             mismatches += 1
             continue
         spectrum = loop_spectrum(d, rng)
         seen.append((d, size, spectrum.lambdas))
-        lifted = lifted_kraus_states(channel, make_schmidt_state(spectrum))
-        if numerical_rank([s.coords for s in lifted]) != size:
+        lifted = lifted_kraus(channel.stacked(), make_schmidt_state(spectrum).coords)
+        if numerical_ranks(lifted) != size:
             mismatches += 1
     return seen, {"lifted-gram-rank-mismatches": float(mismatches)}
 
@@ -114,15 +117,16 @@ def containment_loop(seed, configs=50):
     seen, worst = [], 0.0
     for k in range(configs):
         rng = rng_from(seed, k)
-        channel = random_trace_preserving_channel(2, 3, seed + 4000 + k)
+        channel = random_channel(2, 3, seed + 4000 + k)
         spectrum = loop_spectrum(2, rng)
         seen.append((2, 3, spectrum.lambdas))
         n_outcomes = int(rng.integers(2, 4))
-        measurement = random_trace_preserving_channel(3, n_outcomes, seed + 5000 + k).kraus
-        report = support_containment_check(
-            channel, make_schmidt_state(spectrum), measurement, seed + 6000 + k
+        measurement = random_trace_preserving_kraus(3, n_outcomes, [seed + 5000 + k])
+        psi = make_schmidt_state(spectrum)
+        _, residual = containment_residuals(
+            channel.stacked()[None], psi.coords[None], measurement, [seed + 6000 + k]
         )
-        worst = max(worst, report.max_residual)
+        worst = max(worst, float(residual.max()))
     return seen, {"containment-residual": worst}
 
 
