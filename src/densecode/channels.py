@@ -23,7 +23,7 @@ from . import tolerances
 from .linalg import (
     as_matrices,
     as_matrix,
-    complete_to_unitary,
+    complete_to_unitaries,
     dagger,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -145,8 +145,8 @@ def dilation_unitaries(kraus: np.ndarray, seeds) -> np.ndarray:
     Joint index convention (i, r) -> i*N + r, ancilla fastest.  Column (j, 0)
     holds entry K^(r)[i, j] at row (i, r); those d columns are orthonormal
     exactly when the channel is trace-preserving, and the remaining columns
-    come from the seeded completion, one modified Gram-Schmidt run per set.
-    Returns ``(B, d*n, d*n)``.
+    come from the seeded completion (``complete_to_unitaries``), one modified
+    Gram-Schmidt run over the whole stack.  Returns ``(B, d*n, d*n)``.
     """
     tol = tolerances.get()
     defects = np.abs(kraus_sums(kraus) - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
@@ -155,8 +155,8 @@ def dilation_unitaries(kraus: np.ndarray, seeds) -> np.ndarray:
             f"dilation_unitary: channel is not trace-preserving (defect {defects.max():g})"
         )
     b, n_anc, d, _ = kraus.shape
-    cols = kraus.transpose(0, 2, 1, 3).reshape(b, d * n_anc, d)  # row (i, r), column j
-    completed = np.stack([complete_to_unitary(c.T, seed) for c, seed in zip(cols, seeds)])
+    cols = kraus.transpose(0, 3, 2, 1).reshape(b, d, d * n_anc)  # column j, row (i, r)
+    completed = complete_to_unitaries(cols, seeds)
     # Route completed column s*d + j to slot j*n_anc + s: the stacked columns
     # land on ancilla input 0, the completion fills the other ancilla inputs.
     u = np.empty_like(completed)

@@ -2,13 +2,13 @@
 
 Products, adjoints and Hermitian eigensystems defer to numpy (LAPACK) on
 complex128 arrays (pairs of double-precision reals), and so do seeded random
-unitaries (one QR of a complex-Gaussian draw).  Eigensystems, ranks and
-random unitaries work on stacks of matrices (leading axes).  The pieces with
-bespoke numerics live here: seeded unitary completion by modified
-Gram-Schmidt, kept because protocol bundles print its columns at full
-precision, and square roots of positive diagonal matrices.  All functions
-are pure; randomized ones take explicit seeds and are reproducible bit for
-bit.
+unitaries (one QR of a complex-Gaussian draw).  Eigensystems, ranks, random
+unitaries and the unitary completion work on stacks of matrices (leading
+axes).  The pieces with bespoke numerics live here: seeded unitary
+completion by modified Gram-Schmidt, kept because protocol bundles print its
+columns at full precision, run once over a whole stack of sets; and square
+roots of positive diagonal matrices.  All functions are pure; randomized
+ones take explicit seeds and are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -73,17 +73,99 @@ def unitarity_defect(m: np.ndarray) -> float:
     return max_abs(dagger(m) @ m - np.eye(m.shape[-1]))
 
 
+def _sweep(v: np.ndarray, rows: list, rows_conj: list, order) -> np.ndarray:
+    """Modified Gram-Schmidt: sweep draws ``v (B, P, 1, n)`` against rows ``order``, in order.
+
+    ``rows[i]`` is row i of each set as ``(B, 1, 1, n)`` and ``rows_conj[i]``
+    its conjugate as a column ``(B, 1, n, 1)``.  Each overlap is one batched
+    vector product, the same BLAS dot as ``np.vdot``, so every set's
+    arithmetic is that of a one-set loop.
+    """
+    for i in order:
+        v = v - (v @ rows_conj[i]) * rows[i]
+    return v
+
+
+def complete_to_unitaries(columns: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """Extend each stacked set of orthonormal columns ``(B, k, n)`` to an ``n x n`` unitary.
+
+    Set b's columns are reproduced bit-exactly as the leading columns of its
+    unitary.  Missing columns are drawn from ``rng_from(seeds[b])`` as
+    complex-Gaussian vectors and orthogonalized by modified Gram-Schmidt
+    against everything before them, in two passes; a draw whose projected
+    norm falls below the redraw threshold is discarded and the set's next
+    draw is taken.  The global phase of added columns is whatever the draw
+    produces; only phase-invariant quantities should be compared.
+
+    One Gram-Schmidt run covers the whole stack, and each set's result is
+    bit for bit that of completing it alone: a set reads its stream in the
+    same order, and each step is the same product for every set.  The first
+    pass over the inputs does not depend on earlier draws, so it runs on all
+    of a set's pending draws at once.  Returns ``(B, n, n)``.
+
+    Raises
+    ------
+    ValueError : columns not finite, too many, or not orthonormal within tolerance.
+    RuntimeError : a completed matrix misses unitarity.
+    """
+    tol = tolerances.get()
+    # Contiguous rows: the Gram-Schmidt products below see the same memory
+    # layout whatever the caller passed.
+    cols = np.ascontiguousarray(columns, dtype=complex)
+    if cols.ndim != 3 or len(cols) != len(seeds):
+        raise ValueError("complete_to_unitary: columns must be a (B, k, n) stack, one seed per set")
+    if not np.isfinite(cols).all():
+        raise ValueError("complete_to_unitary: columns have non-finite entries")
+    b, k, n = cols.shape
+    if k > n:
+        raise ValueError(f"complete_to_unitary: {k} columns exceed dimension {n}")
+    if max_abs(cols.conj() @ np.swapaxes(cols, -1, -2) - np.eye(k)) > tol.unitarity:
+        raise ValueError("complete_to_unitary: input columns are not orthonormal")
+
+    basis = np.empty((b, n, n), dtype=complex)  # row j of set b is column j of its unitary
+    basis[:, :k] = cols
+    basis_conj = basis.conj()
+    rows = [basis[:, None, i : i + 1] for i in range(n)]
+    rows_conj = [basis_conj[:, None, i, :, None] for i in range(n)]
+    rngs = [rng_from(seed) for seed in seeds]
+
+    def drawn(count: int, sets) -> np.ndarray:
+        # Real then imaginary part of each draw: the order of two
+        # ``standard_normal(n)`` calls per column.
+        g = np.array([rngs[t].standard_normal((count, 2, 1, n)) for t in sets])
+        g = g.reshape(len(sets), count, 2, 1, n)
+        return g[:, :, 0] + 1j * g[:, :, 1]
+
+    # The first pass over the inputs, for every pending draw at once.
+    pending = _sweep(drawn(n - k, range(b)), rows, rows_conj, range(k))
+    for j in range(k, n):
+        while True:
+            # The rest of the first pass, then the second pass over everything.
+            v = _sweep(pending[:, j - k, None], rows, rows_conj, (*range(k, j), *range(j)))
+            re, im = v.real, v.imag
+            norm = np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))
+            redraw = norm < tol.completion_redraw
+            if not redraw.any():
+                break
+            for t in np.flatnonzero(redraw):  # set t takes its next draw, and queues a fresh one
+                own = [r[t : t + 1] for r in rows], [r[t : t + 1] for r in rows_conj]
+                fresh = _sweep(drawn(1, [t]), *own, range(k))
+                pending[t, j - k :] = np.concatenate((pending[t, j - k + 1 :], fresh[0]))
+        np.divide(v, norm, out=rows[j])
+        np.conjugate(basis[:, j], out=basis_conj[:, j])
+    m = np.ascontiguousarray(np.swapaxes(basis, -1, -2))
+    defect = unitarity_defect(m)
+    if defect > tol.unitarity:
+        raise RuntimeError(f"complete_to_unitary: completion defect {defect:g}")
+    return m
+
+
 def complete_to_unitary(
     columns: Sequence[np.ndarray] | np.ndarray, seed: int, *, dim: int | None = None
 ) -> np.ndarray:
     """Extend orthonormal columns to a square unitary matrix.
 
-    The supplied columns are reproduced bit-exactly as the leading columns.
-    Missing columns are drawn as seeded complex-Gaussian vectors and
-    orthogonalized by modified Gram-Schmidt against everything before them;
-    a draw whose projected norm falls below the redraw threshold is
-    discarded.  The global phase of added columns is whatever the draw
-    produces; only phase-invariant quantities should be compared.
+    The one-set case of ``complete_to_unitaries``.
 
     Parameters
     ----------
@@ -95,42 +177,19 @@ def complete_to_unitary(
     ------
     ValueError : columns not orthonormal within tolerance, or too many.
     """
-    tol = tolerances.get()
-    # Contiguous rows: the Gram-Schmidt products below see the same memory
-    # layout whatever the caller passed.
-    cols = np.ascontiguousarray(columns, dtype=complex)
+    cols = np.asarray(columns, dtype=complex)
     if cols.size == 0:
         if dim is None:
             raise ValueError("complete_to_unitary: dim required when no columns given")
         cols = cols.reshape(0, int(dim))
     elif cols.ndim != 2:
         raise ValueError("complete_to_unitary: columns must be vectors of one dimension")
-    if not np.isfinite(cols).all():
-        raise ValueError("complete_to_unitary: columns have non-finite entries")
     n = cols.shape[1] if dim is None else int(dim)
     if len(cols) > n:
         raise ValueError(f"complete_to_unitary: {len(cols)} columns exceed dimension {n}")
     if cols.shape[1] != n:
         raise ValueError("complete_to_unitary: column dimensions disagree")
-    if max_abs(cols.conj() @ cols.T - np.eye(len(cols))) > tol.unitarity:
-        raise ValueError("complete_to_unitary: input columns are not orthonormal")
-
-    basis = list(cols)  # the inputs' exact rows become the leading columns
-    rng = rng_from(seed)
-    while len(basis) < n:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for _ in range(2):  # second pass keeps orthogonality near machine level
-            for u in basis:
-                v = v - np.vdot(u, v) * u
-        norm = float(np.linalg.norm(v))
-        if norm < tol.completion_redraw:
-            continue
-        basis.append(v / norm)
-    m = np.column_stack(basis)
-    defect = unitarity_defect(m)
-    if defect > tol.unitarity:
-        raise RuntimeError(f"complete_to_unitary: completion defect {defect:g}")
-    return m
+    return complete_to_unitaries(cols[None], [seed])[0]
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

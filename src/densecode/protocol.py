@@ -324,19 +324,31 @@ class Decoder:
 
 
 def build_decoder(bundle: ProtocolBundle) -> Decoder:
+    """One rank-1 projector per lifted message, then the plane of the T and Y branches.
+
+    The gates run over the whole stack: each projector must be Hermitian and
+    idempotent, and each pair must multiply to zero.  The first failure in
+    (projector i, then pairs (j, i) for j < i) order is raised.
+    """
     tol = tolerances.get()
-    projs = [np.outer(vec, vec.conj()) for vec in bundle.lifted]
-    t_lift, y_lift, _ = bundle.branches
-    projs.append(
-        np.outer(t_lift, t_lift.conj()) / bundle.p_t
-        + np.outer(y_lift, y_lift.conj()) / bundle.p_y
+    rows = np.concatenate((bundle.lifted, bundle.branches[:2]))
+    outers = rows[:, :, None] * rows.conj()[:, None, :]
+    projs = outers[:-1]
+    projs[-1] = outers[-2] / bundle.p_t + outers[-1] / bundle.p_y
+    worst = (-2, -1)
+    bad = (np.abs(projs - dagger(projs)).max(axis=worst) > tol.unitarity) | (
+        np.abs(projs @ projs - projs).max(axis=worst) > tol.unitarity
     )
-    for i, p in enumerate(projs):
-        if max_abs(p - dagger(p)) > tol.unitarity or max_abs(p @ p - p) > tol.unitarity:
+    # overlap[j, i] gates the largest entry of P_j P_i for j < i.
+    order = np.arange(len(projs))
+    overlap = (np.abs(projs[:, None] @ projs).max(axis=worst) > tol.unitarity) & (
+        order[:, None] < order
+    )
+    for i in np.flatnonzero(bad | overlap.any(axis=0)):
+        if bad[i]:
             raise BundleError(f"decoder projector {i} is not an orthogonal projector")
-        for j in range(i):
-            if max_abs(projs[j] @ p) > tol.unitarity:
-                raise BundleError(f"decoder projectors {j} and {i} are not orthogonal")
+        j = np.flatnonzero(overlap[:, i])[0]
+        raise BundleError(f"decoder projectors {j} and {i} are not orthogonal")
     return Decoder(projectors=tuple(projs))
 
 

@@ -21,7 +21,7 @@ def sig15(x: float) -> float:
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=complex)
-    return [[[float(e.real), float(e.imag)] for e in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -30,7 +30,7 @@ def matrix_from_json(rows) -> np.ndarray:
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(e.real), float(e.imag)] for e in v]
+    return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
 def dumps(doc) -> str:

@@ -7,8 +7,8 @@ tests, so the CLI and the test suite certify identical properties.
 A suite works in two steps.  It first draws every configuration's inputs in
 a plain loop, configuration k from its own stream ``rng_from(seed, k)`` and
 seeds ``seed + 1000 + k`` and so on.  It then groups the configurations by
-shape and runs every gate once per group on stacked arrays.  Only the
-dilation's Gram-Schmidt completion runs per configuration.
+shape and runs every gate once per group on stacked arrays, the dilation's
+Gram-Schmidt completion included.  Only the draws run per configuration.
 """
 
 from __future__ import annotations

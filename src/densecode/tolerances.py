@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class Tolerances:
                 raise ValueError(f"tolerance {f.name} must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        # Not ``dataclasses.asdict``, which deep-copies every value.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 NAMES = tuple(f.name for f in fields(Tolerances))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from densecode import tolerances
 from densecode.channels import QuantumChannel, random_trace_preserving_kraus
-from densecode.linalg import as_matrix
+from densecode.linalg import as_matrix, rng_from
 from densecode.protocol import build_bundle, build_decoder, default_messages
 from densecode.states import SchmidtSpectrum, parse_spectrum
 from densecode.suites import spectrum_values
@@ -40,6 +41,37 @@ def kron(a, b) -> np.ndarray:
 def basis_index(i: int, j: int, d: int) -> int:
     """Flat coordinate index of |ij> in the d-groups-of-d ordering (Bob's index j selects the group)."""
     return j * d + i
+
+
+def complete_to_unitary_loop(
+    columns, seed: int, *, dim: int | None = None, rejected: list | None = None
+) -> np.ndarray:
+    """Modified Gram-Schmidt completion of one set of orthonormal columns, one draw at a time.
+
+    The per-set loop that ``complete_to_unitaries`` must match bit for bit:
+    each missing column is a fresh complex Gaussian from ``rng_from(seed)``
+    (real part, then imaginary part), swept twice against every earlier
+    column with ``np.vdot`` and normalized with ``np.linalg.norm``; a draw
+    whose norm falls below the redraw threshold is discarded (its norm is
+    appended to ``rejected``).
+    """
+    tol = tolerances.get()
+    cols = np.ascontiguousarray(columns, dtype=complex)
+    n = cols.shape[-1] if dim is None else int(dim)
+    basis = list(cols.reshape(-1, n))
+    rng = rng_from(seed)
+    while len(basis) < n:
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for _ in range(2):
+            for u in basis:
+                v = v - np.vdot(u, v) * u
+        norm = float(np.linalg.norm(v))
+        if norm < tol.completion_redraw:
+            if rejected is not None:
+                rejected.append(norm)
+            continue
+        basis.append(v / norm)
+    return np.column_stack(basis)
 
 
 def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:

@@ -20,7 +20,6 @@ from densecode.channels import (
     trace_out_ancilla_state,
 )
 from densecode.linalg import (
-    complete_to_unitary,
     hermitian_eigenvalues,
     max_abs,
     random_unitaries,
@@ -43,6 +42,7 @@ from conftest import (
     EXAMPLE_Y,
     I2,
     X,
+    complete_to_unitary_loop,
     random_channel,
     random_density,
     random_spectrum,
@@ -225,7 +225,7 @@ def dilation_loop_reference(channel, seed):
             for i in range(d):
                 col[i * n + r] = k[i, j]
         cols.append(col)
-    completed = complete_to_unitary(cols, seed)
+    completed = complete_to_unitary_loop(cols, seed)
     positions = [j * n for j in range(d)]
     positions += [j * n + s for s in range(1, n) for j in range(d)]
     u = np.empty_like(completed)
@@ -255,6 +255,18 @@ def test_dilation_matches_loop_reference():
         assert np.array_equal(got, dilation_loop_reference(ch, d * n))
     triple = example_channel()
     assert np.array_equal(dilation_unitary(triple, seed=6).u_tilde, dilation_loop_reference(triple, 6))
+
+
+def test_dilation_unitaries_of_a_mixed_seed_stack_match_the_per_channel_loop():
+    # One Gram-Schmidt run over the stack gives each channel's own dilation.
+    for d, n in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        seeds = [0, 2 ** 64 - 1, 7, 7, 123456789, 3 * d + n]
+        kraus = random_trace_preserving_kraus(d, n, [40 + d * n + b for b in range(len(seeds))])
+        stacked = dilation_unitaries(kraus, seeds)
+        for k, seed, u in zip(kraus, seeds, stacked, strict=True):
+            channel = QuantumChannel(d=d, kraus=tuple(k))
+            assert np.array_equal(u, dilation_loop_reference(channel, seed))
+            assert np.array_equal(u, dilation_unitary(channel, seed).u_tilde)
 
 
 def test_dilation_requires_trace_preserving():

@@ -4,6 +4,7 @@ import pytest
 from densecode import tolerances
 from densecode.encoding import certify_lifted
 from densecode.linalg import (
+    complete_to_unitaries,
     complete_to_unitary,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -15,7 +16,7 @@ from densecode.linalg import (
     unitarity_defect,
 )
 
-from conftest import EXAMPLE_M, I2, X, kron
+from conftest import EXAMPLE_M, I2, X, complete_to_unitary_loop, kron
 
 
 def test_kron_identity():
@@ -137,6 +138,60 @@ def test_completion_ignores_input_memory_layout():
     from_view = complete_to_unitary(cols.T, seed=8)
     assert np.array_equal(from_view, complete_to_unitary(list(cols.T.copy()), seed=8))
     assert np.array_equal(from_view[:, :4], cols)
+
+
+def orthonormal_stack(n: int, k: int, seeds) -> np.ndarray:
+    """The first k columns of seeded random unitaries, as rows: a ``(len(seeds), k, n)`` stack."""
+    return np.swapaxes(random_unitaries(n, seeds)[:, :, :k], -1, -2)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_stacked_completion_matches_loop_reference(n):
+    # Every k in 0..n, stacks of 1-25 sets, seeds across the 64-bit range.
+    for k in range(n + 1):
+        size = 1 + (7 * n + 3 * k) % 25
+        seeds = [(0x9E3779B97F4A7C15 * b + 977 * n + 31 * k) % 2 ** 64 for b in range(size)]
+        cols = orthonormal_stack(n, k, [100 * n + k + b for b in range(size)])
+        got = complete_to_unitaries(cols, seeds)
+        assert got.shape == (size, n, n)
+        for c, seed, u in zip(cols, seeds, got, strict=True):
+            assert np.array_equal(u, complete_to_unitary_loop(c, seed, dim=n))
+        assert np.array_equal(complete_to_unitary(cols[0], seeds[0], dim=n), got[0])
+
+
+def test_stacked_completion_matches_loop_reference_under_forced_redraws():
+    # A redraw threshold of 1.0 rejects a sizeable share of draws: each
+    # rejecting set reads its next draw while the others move on.
+    rejected = []
+    with tolerances.using(completion_redraw=1.0):
+        for n in range(2, 11):
+            for k in range(n):
+                size = 1 + (5 * n + k) % 25
+                seeds = [1000 * n + 10 * k + b for b in range(size)]
+                cols = orthonormal_stack(n, k, seeds)
+                got = complete_to_unitaries(cols, seeds)
+                for c, seed, u in zip(cols, seeds, got, strict=True):
+                    reference = complete_to_unitary_loop(c, seed, dim=n, rejected=rejected)
+                    assert np.array_equal(u, reference)
+    assert len(rejected) > 100 and max(rejected) < 1.0
+
+
+def test_stacked_completion_gates():
+    cols = orthonormal_stack(4, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="one seed per set"):
+        complete_to_unitaries(cols, [1, 2])
+    with pytest.raises(ValueError, match="one seed per set"):
+        complete_to_unitaries(cols[0], [1])
+    with pytest.raises(ValueError, match="3 columns exceed dimension 2"):
+        complete_to_unitaries(np.zeros((1, 3, 2)), [0])
+    bad = cols.copy()
+    bad[1, 1] *= 1.0 + 1e-6  # one set of the stack is not orthonormal
+    with pytest.raises(ValueError, match="input columns are not orthonormal"):
+        complete_to_unitaries(bad, [1, 2, 3])
+    bad[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        complete_to_unitaries(bad, [1, 2, 3])
+    assert complete_to_unitaries(np.zeros((0, 1, 3)), []).shape == (0, 3, 3)
 
 
 def test_stacked_eigensystems_and_ranks_match_one_by_one():

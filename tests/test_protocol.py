@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,34 @@ def test_decoder_structure(example_bundle, example_decoder):
         assert max_abs(p @ p - p) < 1e-10
         for j in range(i):
             assert max_abs(projs[j] @ p) < 1e-10
+
+
+def test_decoder_refuses_a_branch_plane_that_is_not_a_projector(example_bundle):
+    scaled = dataclasses.replace(example_bundle, p_t=2.0 * example_bundle.p_t)
+    with pytest.raises(BundleError, match="decoder projector 2 is not an orthogonal projector"):
+        build_decoder(scaled)
+
+
+def test_decoder_refuses_a_repeated_lifted_message(example_bundle):
+    lifted = example_bundle.lifted.copy()
+    lifted[1] = lifted[0]
+    with pytest.raises(BundleError, match="decoder projectors 0 and 1 are not orthogonal"):
+        build_decoder(dataclasses.replace(example_bundle, lifted=lifted))
+
+
+def test_decoder_raises_the_first_failure_in_order(d3_bundle):
+    # Projector i is checked before its pairs (j, i), and i runs upward.
+    lifted = d3_bundle.lifted.copy()
+    lifted[5], lifted[6] = lifted[2], lifted[3]
+    scaled = dataclasses.replace(d3_bundle, lifted=lifted, p_t=2.0 * d3_bundle.p_t)
+    with pytest.raises(BundleError, match="decoder projectors 2 and 5 are not orthogonal"):
+        build_decoder(scaled)
+    with pytest.raises(BundleError, match="decoder projector 7 is not an orthogonal projector"):
+        build_decoder(dataclasses.replace(d3_bundle, p_t=2.0 * d3_bundle.p_t))
+    lifted = d3_bundle.lifted.copy()
+    lifted[4] = 2.0 * lifted[0]  # not idempotent, and not orthogonal to projector 0
+    with pytest.raises(BundleError, match="decoder projector 4 is not an orthogonal projector"):
+        build_decoder(dataclasses.replace(d3_bundle, lifted=lifted))
 
 
 def test_decoder_final_projector_matches_branches(example_bundle, example_decoder):
