@@ -5,8 +5,10 @@ A message set is distinguishable on a shared state when the lifted states
 worst Gram defect.  The shift/clock family supplies the standard full-size
 set for maximally entangled states, and a seeded numerical search looks for
 sets at other spectra by Levenberg-Marquardt descent of the off-diagonal
-Gram mass over matrix-exponential parametrized unitaries, giving up on a
-restart once it stops making progress.
+Gram mass, giving up on a restart once it stops making progress.  A restart
+starts from seeded matrix exponentials ``exp(i H)`` and moves each unitary
+in its own local chart, ``U -> U exp(i H(s))``, whose Jacobian at s = 0 is
+linear in the products ``U_i^H U_j``.
 """
 
 from __future__ import annotations
@@ -138,13 +140,6 @@ def _generator_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _phi_matrix(eigs: np.ndarray) -> np.ndarray:
-    """Divided differences of exp(i .) on an eigenvalue grid (derivative kernel)."""
-    delta = eigs[..., :, None] - eigs[..., None, :]
-    mid = np.exp(0.5j * (eigs[..., :, None] + eigs[..., None, :]))
-    return 1j * mid * np.sinc(delta / (2.0 * np.pi))
-
-
 def _generator_params(theta, d: int, count: int, caller: str) -> np.ndarray:
     """``theta`` as a float vector, refused unless it holds ``(count - 1) d^2`` parameters."""
     if count < 1:
@@ -159,32 +154,30 @@ def _generator_params(theta, d: int, count: int, caller: str) -> np.ndarray:
     return theta
 
 
-def _decompose_generators(theta: np.ndarray, d: int, count: int):
-    """Eigenvalues, eigenvectors and unitaries for every message.
+def _exponentials(params: np.ndarray, d: int) -> np.ndarray:
+    """``exp(i H)`` for every ``d^2``-parameter block of ``params``, by one stacked eigensolve.
 
-    ``theta`` holds the ``(count - 1) d^2`` generator parameters; every free
-    generator goes through one stacked eigensolve.  ``us[0]`` is the pinned
-    identity and ``us[k] = exp(i H_k)`` for k >= 1, whose eigendata sit at
-    index ``k - 1`` of the returned ``w`` and ``q``.  The generators are one
-    product with the basis, whose entries 0, 1 and +-i make it exact: each H
-    equals ``hermitian_from_params`` of its block entry for entry.
+    The generators are one product with the basis, whose entries 0, 1 and
+    +-i make it exact: each H equals ``hermitian_from_params`` of its block
+    entry for entry.  Returns ``(blocks, d, d)``.
     """
-    h = np.reshape(theta, (count - 1, d * d)) @ _generator_basis(d)
-    w, q = np.linalg.eigh(h.reshape(count - 1, d, d))
+    h = np.reshape(params, (-1, d * d)) @ _generator_basis(d)
+    w, q = np.linalg.eigh(h.reshape(-1, d, d))
+    return (q * np.exp(1j * w)[:, None, :]) @ dagger(q)
+
+
+def _messages_at(theta: np.ndarray, d: int, count: int) -> np.ndarray:
+    """The pinned identity, then ``exp(i H_k)`` for each of the ``count - 1`` blocks of ``theta``."""
     us = np.empty((count, d, d), dtype=complex)
     us[0] = np.eye(d)
-    us[1:] = (q * np.exp(1j * w)[:, None, :]) @ dagger(q)
-    return w, q, us
-
-
-def _weighted_rows(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
-    """Row k is U_k with its column a scaled by lambda_a, flattened."""
-    return (us * np.asarray(spectrum.lambdas)).reshape(len(us), -1)
+    us[1:] = _exponentials(theta, d)
+    return us
 
 
 def _pair_overlaps(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
-    """Lifted-state overlaps <U_i psi|U_j psi> for every pair i < j, in row order."""
-    g = us.reshape(len(us), -1).conj() @ _weighted_rows(spectrum, us).T
+    """Lifted-state overlaps <U_i psi|U_j psi> = tr(U_i^H U_j Lambda) for pairs i < j, in row order."""
+    weighted = (us * np.asarray(spectrum.lambdas)).reshape(len(us), -1)
+    g = us.reshape(len(us), -1).conj() @ weighted.T
     return g[_upper_pairs(len(us))]
 
 
@@ -196,96 +189,87 @@ def _mass(overlaps: np.ndarray) -> float:
 def gram_mass_objective(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> float:
     """Sum of squared off-diagonal lifted-state overlaps; zero at perfect distinguishability."""
     theta = _generator_params(theta, spectrum.d, count, "gram_mass_objective")
-    _, _, us = _decompose_generators(theta, spectrum.d, count)
-    return _mass(_pair_overlaps(spectrum, us))
+    return _mass(_pair_overlaps(spectrum, _messages_at(theta, spectrum.d, count)))
 
 
 def gram_mass_gradient(spectrum: SchmidtSpectrum, theta: np.ndarray, count: int) -> np.ndarray:
-    """Analytic gradient of the objective, 2 Re(J^H o), in the generator parameters.
+    """Gradient of the objective, 2 Re(J^H o), in the local chart at ``exp(i H(theta))``.
 
-    ``o`` holds the pair overlaps and ``J`` their Jacobian.
+    ``o`` holds the pair overlaps and ``J`` their Jacobian in the steps
+    ``s`` of ``U_k -> U_k exp(i H(s_k))`` at s = 0 (see ``_pair_jacobian``).
     """
     theta = _generator_params(theta, spectrum.d, count, "gram_mass_gradient")
-    point = _decompose_generators(theta, spectrum.d, count)
-    jac = _pair_jacobian(spectrum, point)
-    return 2.0 * np.real(dagger(jac) @ _pair_overlaps(spectrum, point[2]))
+    us = _messages_at(theta, spectrum.d, count)
+    return 2.0 * np.real(dagger(_pair_jacobian(spectrum, us)) @ _pair_overlaps(spectrum, us))
 
 
-def _pair_jacobian(
-    spectrum: SchmidtSpectrum, point: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Jacobian of the pair overlaps in the generator parameters, one row per pair.
+def _pair_jacobian(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
+    """Jacobian of the pair overlaps in the local chart at ``us``, one row per pair.
 
-    ``point`` is one ``_decompose_generators`` result ``(w, q, us)``.  With
-    row-major flattening, the derivative of ``U_k = exp(i H_k)`` in its d^2
-    parameters is ``K diag(phi) K^H B`` for ``K = q_k (x) conj(q_k)``,
-    ``phi`` the flattened divided-difference kernel of exp(i .) on H_k's
-    eigenvalues, and ``B`` the generator basis as columns: one d^2 x d^2
-    tensor per free generator.  Overlap (i, j) is ``conj(U_i) . (U_j lambda)``
-    summed over entries, so its derivative is a product of those tensors with
-    the lambda-weighted unitaries on either side.
+    Each free unitary moves as ``U_k -> U_k exp(i H(s_k))``, and the
+    derivative is taken at s = 0, where ``U_k`` gains ``i U_k E_p`` along
+    basis generator ``E_p``.  Overlap (i, j) is ``tr(Lambda M)`` with
+    ``M = U_i^H U_j``, so it gains ``i tr(Lambda M E_p)`` from U_j and
+    ``-i tr(E_p M Lambda)`` from U_i.  With ``E_p^T = conj(E_p)`` each is a
+    flattened product with the conjugate basis ``B``: ``i vec(Lambda M) @
+    conj(B)^T`` and ``-i vec(M Lambda) @ conj(B)^T``.  The pinned identity
+    does not move.
     """
-    w, q, us = point
     count, d = len(us), spectrum.d
     n = d * d
-    kron = (q[:, :, None, :, None] * q.conj()[:, None, :, None, :]).reshape(count - 1, n, n)
-    d_us = (kron * _phi_matrix(w).reshape(count - 1, 1, n)) @ (
-        dagger(kron) @ _generator_basis(d).T
-    )
-    weighted = _weighted_rows(spectrum, us)
+    lam = np.asarray(spectrum.lambdas)
     i, j = _upper_pairs(count)
+    m = dagger(us[i]) @ us[j]
+    # U_j enters overlap (i, j) on the right, and U_i daggered on the left.
+    sides = np.stack([1j * lam[:, None] * m, -1j * m * lam]).reshape(2, len(i), n)
+    sides = sides @ _generator_basis(d).conj().T
     pairs = np.arange(len(i))
     jac = np.zeros((len(i), count - 1, n), dtype=complex)
-    # U_j enters overlap (i, j) on the right ...
-    jac[pairs, j - 1] = (weighted.conj() @ d_us)[j - 1, i]
-    # ... and U_i conjugated on the left, unless i is the pinned identity.
-    left = i >= 1
-    jac[pairs[left], i[left] - 1] = (weighted @ d_us.conj())[i[left] - 1, j[left]]
+    jac[pairs, j - 1] = sides[0]
+    left = i >= 1  # the pinned identity has no step
+    jac[pairs[left], i[left] - 1] = sides[1, left]
     return jac.reshape(len(i), (count - 1) * n)
 
 
 _STALL_WINDOW = 30  # trial steps over which a restart must make progress
 _STALL_DROP = 0.1  # the least fraction of the Gram mass it must shed over them
+_MAX_STEPS = 400  # trial steps a restart may take in all
+_TARGET_MASS = 1e-26  # the Gram mass at which a restart has converged
 
 
-def _levenberg_marquardt(
-    spectrum: SchmidtSpectrum,
-    theta: np.ndarray,
-    count: int,
-    max_steps: int = 400,
-    target: float = 1e-26,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Levenberg-Marquardt descent of the Gram mass from a start ``theta``.
+def _levenberg_marquardt(spectrum: SchmidtSpectrum, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt descent of the Gram mass from the unitaries ``us``.
 
-    The mass is ``|r|^2`` for the stacked residual ``r = [Re o; Im o]`` of
-    the pair overlaps, with Jacobian ``A = [Re J; Im J]``.  ``A`` has no
-    more rows than columns (count <= d^2), so each trial step solves the
-    small dual system: ``s = A^T (A A^T + mu I)^-1 r``.  A step that
-    lowers the mass is accepted and ``mu`` shrinks by Nielsen's rule
+    ``us[0]`` stays put; every other unitary takes local steps
+    ``U_k -> U_k exp(-i H(s_k))``.  The mass is ``|r|^2`` for the stacked
+    residual ``r = [Re o; Im o]`` of the pair overlaps, with Jacobian
+    ``A = [Re J; Im J]`` at the current point.  ``A`` has no more rows than
+    columns (count <= d^2), so each trial step solves the small dual
+    system: ``s = A^T (A A^T + mu I)^-1 r``.  A step that lowers the mass
+    is accepted and ``mu`` shrinks by Nielsen's rule
     ``max(1/3, 1 - (2 rho - 1)^3)``, ``rho`` being the achieved over the
     predicted drop; a rejected step multiplies ``mu`` by ``nu``, which then
     doubles.  The Jacobian is recomputed only after an accepted step, and
     the accepted candidate's overlaps are kept for it.  The loop stops at
-    ``target``, once the mass has fallen by less than ``_STALL_DROP`` of
-    itself over the last ``_STALL_WINDOW`` trial steps (a restart stuck
-    above zero, as when no set of ``count`` exists), or after ``max_steps``
-    trial steps.  Returns the final ``theta``, its decomposition
-    ``(w, q, us)`` and its pair overlaps.
+    ``_TARGET_MASS``, once the mass has fallen by less than ``_STALL_DROP``
+    of itself over the last ``_STALL_WINDOW`` trial steps (a restart stuck
+    above zero, as when no set of ``count`` exists), or after
+    ``_MAX_STEPS`` trial steps.  Returns the final unitaries and their
+    pair overlaps.
     """
     d = spectrum.d
-    point = _decompose_generators(theta, d, count)
-    overlaps = _pair_overlaps(spectrum, point[2])
+    overlaps = _pair_overlaps(spectrum, us)
     f = _mass(overlaps)
     history = [f]  # the mass after each trial step
     eye = np.eye(2 * len(overlaps))
     mu, nu, fresh = None, 2.0, True
-    for _ in range(max_steps):
-        if f <= target:
+    for _ in range(_MAX_STEPS):
+        if f <= _TARGET_MASS:
             break
         if len(history) > _STALL_WINDOW and f > (1.0 - _STALL_DROP) * history[-_STALL_WINDOW - 1]:
             break
         if fresh:
-            jac = _pair_jacobian(spectrum, point)
+            jac = _pair_jacobian(spectrum, us)
             system = np.vstack([jac.real, jac.imag])
             residual = np.concatenate([overlaps.real, overlaps.imag])
             normal = system @ system.T
@@ -293,9 +277,8 @@ def _levenberg_marquardt(
                 mu = 1e-3 * float(np.max(np.diag(normal)))
         dual = np.linalg.solve(normal + mu * eye, residual)
         step = system.T @ dual
-        cand = theta - step
-        cand_point = _decompose_generators(cand, d, count)
-        cand_overlaps = _pair_overlaps(spectrum, cand_point[2])
+        cand = np.concatenate([us[:1], us[1:] @ _exponentials(-step, d)])
+        cand_overlaps = _pair_overlaps(spectrum, cand)
         f_cand = _mass(cand_overlaps)
         # The linear model's drop |r|^2 - |r - A s|^2, written as a sum of
         # non-negative terms: the difference form cancels to zero once mu
@@ -306,12 +289,12 @@ def _levenberg_marquardt(
             rho = (f - f_cand) / predicted
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
-            theta, f, point, overlaps = cand, f_cand, cand_point, cand_overlaps
+            us, f, overlaps = cand, f_cand, cand_overlaps
         else:
             mu *= nu
             nu *= 2.0
         history.append(f)
-    return theta, point, overlaps
+    return us, overlaps
 
 
 def search_message_set(
@@ -319,14 +302,14 @@ def search_message_set(
 ) -> UnitaryMessageSet | None:
     """Search for ``count`` unitaries whose lifted states are orthonormal.
 
-    The first unitary is pinned to the identity (a free gauge); the rest are
-    parametrized as exponentials of Hermitian generators.  Restart ``r``
-    draws its start from ``rng_from(seed, r)`` and runs Levenberg-Marquardt
-    on the off-diagonal Gram mass until the mass is negligible or stops
-    falling.  Returns the first certified set, or None once the
-    ``max_iters`` restarts (at least one) are exhausted -- existence is not
-    guaranteed away from the maximally entangled point, and ``d^2 - 1``
-    messages never exist there.
+    The first unitary is pinned to the identity (a free gauge).  Restart
+    ``r`` starts the rest at ``exp(i H_k)`` for Hermitian generators drawn
+    from ``rng_from(seed, r)`` and runs Levenberg-Marquardt on the
+    off-diagonal Gram mass, stepping each unitary in its own local chart,
+    until the mass is negligible or stops falling.  Returns the first
+    certified set, or None once the ``max_iters`` restarts (at least one)
+    are exhausted -- existence is not guaranteed away from the maximally
+    entangled point, and ``d^2 - 1`` messages never exist there.
     """
     d = spectrum.d
     if count < 1 or count > d * d:
@@ -335,14 +318,13 @@ def search_message_set(
         raise ValueError("search_message_set: max_iters must be positive")
     if not capacity_bound_check(spectrum, count):
         raise ValueError("search_message_set: spectrum violates the capacity bound for count")
-    eye = np.eye(d, dtype=complex)
     if count == 1:
-        return UnitaryMessageSet(d=d, unitaries=(eye,))
+        return UnitaryMessageSet(d=d, unitaries=(np.eye(d, dtype=complex),))
     psi = make_schmidt_state(spectrum)
     n_params = (count - 1) * d * d
     for restart in range(max_iters):
-        rng = rng_from(seed, restart)
-        _, (_, _, us), _ = _levenberg_marquardt(spectrum, rng.standard_normal(n_params), count)
+        start = _messages_at(rng_from(seed, restart).standard_normal(n_params), d, count)
+        us, _ = _levenberg_marquardt(spectrum, start)
         candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
         if certify_distinguishable(candidate, psi).passed:
             return candidate

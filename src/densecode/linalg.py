@@ -20,6 +20,11 @@ import numpy as np
 from . import tolerances
 
 _MASK64 = (1 << 64) - 1
+# Draws a completion column may take before its redraw threshold counts as
+# unreachable.  At the default threshold a redraw almost never happens, and
+# even at 1.3 (more than half the draws of a set's last column rejected) a
+# column that needs this many has odds below 1e-240.
+_MAX_DRAWS = 1000
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -94,8 +99,9 @@ def complete_to_unitaries(columns: np.ndarray, seeds: Sequence[int]) -> np.ndarr
     complex-Gaussian vectors and orthogonalized by modified Gram-Schmidt
     against everything before them, in two passes; a draw whose projected
     norm falls below the redraw threshold is discarded and the set's next
-    draw is taken.  The global phase of added columns is whatever the draw
-    produces; only phase-invariant quantities should be compared.
+    draw is taken, up to ``_MAX_DRAWS`` draws per column.  The global phase
+    of added columns is whatever the draw produces; only phase-invariant
+    quantities should be compared.
 
     One Gram-Schmidt run covers the whole stack, and each set's result is
     bit for bit that of completing it alone: a set reads its stream in the
@@ -105,7 +111,9 @@ def complete_to_unitaries(columns: np.ndarray, seeds: Sequence[int]) -> np.ndarr
 
     Raises
     ------
-    ValueError : columns not finite, too many, or not orthonormal within tolerance.
+    ValueError : columns not finite, too many, or not orthonormal within
+        tolerance; or a column whose ``_MAX_DRAWS`` draws all fall below the
+        ``completion_redraw`` threshold.
     RuntimeError : a completed matrix misses unitarity.
     """
     tol = tolerances.get()
@@ -139,6 +147,7 @@ def complete_to_unitaries(columns: np.ndarray, seeds: Sequence[int]) -> np.ndarr
     # The first pass over the inputs, for every pending draw at once.
     pending = _sweep(drawn(n - k, range(b)), rows, rows_conj, range(k))
     for j in range(k, n):
+        draws = np.ones(b, dtype=int)
         while True:
             # The rest of the first pass, then the second pass over everything.
             v = _sweep(pending[:, j - k, None], rows, rows_conj, (*range(k, j), *range(j)))
@@ -147,6 +156,12 @@ def complete_to_unitaries(columns: np.ndarray, seeds: Sequence[int]) -> np.ndarr
             redraw = norm < tol.completion_redraw
             if not redraw.any():
                 break
+            draws += redraw.reshape(b)
+            if draws.max() > _MAX_DRAWS:
+                raise ValueError(
+                    f"complete_to_unitary: {_MAX_DRAWS} draws for column {j} all fell below "
+                    f"completion_redraw = {tol.completion_redraw:g}"
+                )
             for t in np.flatnonzero(redraw):  # set t takes its next draw, and queues a fresh one
                 own = [r[t : t + 1] for r in rows], [r[t : t + 1] for r in rows_conj]
                 fresh = _sweep(drawn(1, [t]), *own, range(k))

@@ -251,6 +251,15 @@ def test_tolerance_override_refuses_non_finite_and_negative(capsys, value):
     assert tolerances.get() == before
 
 
+def test_unreachable_redraw_threshold_is_an_error_document(capsys):
+    code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.4", "--tol-completion_redraw", "1e9")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert (doc["schema"], doc["kind"]) == ("densecode/1", "error")
+    assert "completion_redraw = 1e+09" in doc["error"]
+
+
 def test_spectrum_sum_error_names_a_plain_float(capsys):
     code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.5")
     assert code == 1

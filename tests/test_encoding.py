@@ -18,11 +18,12 @@ from densecode.encoding import (
 )
 from densecode import encoding
 from densecode.encoding import (
-    _decompose_generators,
+    _exponentials,
     _levenberg_marquardt,
+    _mass,
+    _messages_at,
     _pair_jacobian,
     _pair_overlaps,
-    _phi_matrix,
     _upper_pairs,
 )
 from densecode.linalg import dagger, max_abs, rng_from, unitarity_defect
@@ -139,15 +140,15 @@ def test_generator_exponential_is_unitary():
     for d in (2, 3, 4):
         count = 3
         theta = rng.standard_normal((count - 1) * d * d)
-        _, _, us = _decompose_generators(theta, d, count)
+        us = _messages_at(theta, d, count)
         assert max_abs(us[0] - np.eye(d)) == 0.0
+        assert np.array_equal(us[1:], _exponentials(theta, d))
         for k in range(1, count):
             assert unitarity_defect(us[k]) < 1e-13
             # Stacked spectral route agrees with the series route, block by block.
             h = hermitian_from_params(theta[(k - 1) * d * d : k * d * d], d)
             assert max_abs(us[k] - taylor_exponential(h)) < 1e-12
-        _, _, us = _decompose_generators(np.zeros(d * d), d, 2)
-        assert max_abs(us[1] - np.eye(d)) == 0.0
+        assert max_abs(_exponentials(np.zeros(d * d), d)[0] - np.eye(d)) == 0.0
 
 
 def test_objective_is_lifted_gram_mass():
@@ -155,7 +156,7 @@ def test_objective_is_lifted_gram_mass():
     for d, count in ((2, 4), (3, 5)):
         s = random_spectrum(d, rng)
         theta = rng.standard_normal((count - 1) * d * d)
-        _, _, us = _decompose_generators(theta, d, count)
+        us = _messages_at(theta, d, count)
         psi = make_schmidt_state(s)
         lifted = np.array([apply_local(u, psi).coords for u in us])
         g = lifted.conj() @ lifted.T
@@ -163,21 +164,28 @@ def test_objective_is_lifted_gram_mass():
         assert abs(gram_mass_objective(s, theta, count) - mass) < 1e-12
 
 
+def local_step(us: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``us`` with every unitary after the pinned first moved to U_k exp(i H(step_k))."""
+    return np.concatenate([us[:1], us[1:] @ _exponentials(step, us.shape[-1])])
+
+
 def test_objective_gradient_matches_finite_differences():
+    # The gradient lives in the local chart at exp(i H(theta)): central
+    # differences step each unitary as U_k exp(i H(+-h e_a)).
     rng = rng_from(74)
     for d, count in ((2, 2), (2, 4), (3, 3)):
         s = random_spectrum(d, rng)
         n = (count - 1) * d * d
         theta = rng.standard_normal(n)
+        us = _messages_at(theta, d, count)
         grad = gram_mass_gradient(s, theta, count)
         h = 1e-6
         fd = np.empty(n)
-        for i in range(n):
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            fd[i] = (
-                gram_mass_objective(s, up, count) - gram_mass_objective(s, down, count)
+        for a in range(n):
+            e = h * np.eye(n)[a]
+            fd[a] = (
+                _mass(_pair_overlaps(s, local_step(us, e)))
+                - _mass(_pair_overlaps(s, local_step(us, -e)))
             ) / (2 * h)
         scale = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(grad - fd)) / scale < 1e-5
@@ -199,7 +207,7 @@ def test_generators_match_hermitian_from_params(monkeypatch):
         count = 4
         theta = rng.standard_normal((count - 1) * d * d)
         seen.clear()
-        _decompose_generators(theta, d, count)
+        _exponentials(theta, d)
         assert np.array_equal(seen[0], hermitian_from_params(theta.reshape(count - 1, d * d), d))
 
 
@@ -208,7 +216,7 @@ def test_objective_and_gradient_at_one_message():
     assert gram_mass_objective(s, np.zeros(0), 1) == 0.0
     grad = gram_mass_gradient(s, np.zeros(0), 1)
     assert grad.shape == (0,)
-    assert _pair_jacobian(s, _decompose_generators(np.zeros(0), 2, 1)).shape == (0, 0)
+    assert _pair_jacobian(s, _messages_at(np.zeros(0), 2, 1)).shape == (0, 0)
 
 
 @pytest.mark.parametrize("fn", (gram_mass_objective, gram_mass_gradient))
@@ -222,34 +230,24 @@ def test_objective_and_gradient_check_parameter_count(fn):
         fn(s, np.zeros(0), 0)
 
 
-def trace_derivative(q: np.ndarray, m: np.ndarray, phi: np.ndarray, basis: list) -> np.ndarray:
-    """Derivatives of tr(m exp(iH)) in the d^2 parameters of one H = q diag(w) q^H.
+def reference_jacobian(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
+    """Local-chart pair-overlap Jacobian built one pair and one side at a time.
 
-    In the eigenbasis ``q`` a perturbation is damped entrywise by the
-    divided-difference kernel ``phi`` of exp(i .); ``basis`` holds dH/dtheta.
+    Overlap (i, j) is tr(Lambda M) with M = U_i^dag U_j.  Moving U_j to
+    U_j exp(i s E_p) adds i tr(Lambda M E_p) to first order, and moving U_i
+    adds -i tr(E_p M Lambda).
     """
-    a = (dagger(q) @ m @ q).T
-    k = q.conj() @ (a * phi) @ q.T
-    return np.array([np.sum(k * b) for b in basis])
-
-
-def reference_jacobian(spectrum: SchmidtSpectrum, point) -> np.ndarray:
-    """Pair-overlap Jacobian built one pair and one side at a time."""
-    w, q, us = point
     count, d = len(us), spectrum.d
-    lam = np.asarray(spectrum.lambdas)
+    lam = np.diag(spectrum.lambdas)
     basis = [hermitian_from_params(e, d) for e in np.eye(d * d)]
     rows = []
     for i, j in zip(*_upper_pairs(count)):
+        m = dagger(us[i]) @ us[j]
         row = np.zeros((count - 1, d * d), dtype=complex)
-        # Overlap (i, j) is tr(D U_i^dag U_j): U_j enters on the right ...
-        row[j - 1] = trace_derivative(
-            q[j - 1], lam[:, None] * dagger(us[i]), _phi_matrix(w[j - 1]), basis
-        )
+        # U_j enters on the right ...
+        row[j - 1] = [1j * np.trace(lam @ m @ e) for e in basis]
         if i >= 1:  # ... and U_i daggered on the left, unless i is the pinned identity.
-            row[i - 1] += trace_derivative(
-                q[i - 1], us[j] * lam, _phi_matrix(w[i - 1]).conj(), basis
-            )
+            row[i - 1] = [-1j * np.trace(e @ m @ lam) for e in basis]
         rows.append(row.ravel())
     return np.array(rows)
 
@@ -259,8 +257,8 @@ def test_pair_jacobian_matches_reference():
     for d in (2, 3, 4):
         for count in sorted({2, 3, d * d - 2}):
             s = random_spectrum(d, rng)
-            point = _decompose_generators(rng.standard_normal((count - 1) * d * d), d, count)
-            assert max_abs(_pair_jacobian(s, point) - reference_jacobian(s, point)) < 1e-14
+            us = _messages_at(rng.standard_normal((count - 1) * d * d), d, count)
+            assert max_abs(_pair_jacobian(s, us) - reference_jacobian(s, us)) < 1e-14
 
 
 @settings(max_examples=25, deadline=None)
@@ -273,8 +271,8 @@ def test_pair_jacobian_matches_reference_on_random_spectra(d, extra, seed):
     rng = rng_from(seed)
     count = 2 + extra % (d * d - 1)
     s = random_spectrum(d, rng)
-    point = _decompose_generators(3.0 * rng.standard_normal((count - 1) * d * d), d, count)
-    assert max_abs(_pair_jacobian(s, point) - reference_jacobian(s, point)) < 1e-14
+    us = _messages_at(3.0 * rng.standard_normal((count - 1) * d * d), d, count)
+    assert max_abs(_pair_jacobian(s, us) - reference_jacobian(s, us)) < 1e-14
 
 
 def test_pair_jacobian_matches_finite_differences():
@@ -287,18 +285,12 @@ def test_pair_jacobian_matches_finite_differences():
     for s, count in cases:
         d = s.d
         n = (count - 1) * d * d
-        theta = rng.standard_normal(n)
-
-        def at(t):
-            return _pair_overlaps(s, _decompose_generators(t, d, count)[2])
-
-        jac = _pair_jacobian(s, _decompose_generators(theta, d, count))
+        us = _messages_at(rng.standard_normal(n), d, count)
+        jac = _pair_jacobian(s, us)
         h = 1e-6
         for a in range(0, n, 5):
-            up, down = theta.copy(), theta.copy()
-            up[a] += h
-            down[a] -= h
-            fd = (at(up) - at(down)) / (2 * h)
+            e = h * np.eye(n)[a]
+            fd = (_pair_overlaps(s, local_step(us, e)) - _pair_overlaps(s, local_step(us, -e))) / (2 * h)
             assert np.max(np.abs(fd - jac[:, a])) < 1e-7
 
 
@@ -315,21 +307,22 @@ def test_pair_jacobian_matches_finite_differences():
 def test_levenberg_marquardt_returns_its_point_and_never_raises_mass(values, count):
     s = SchmidtSpectrum.from_values(values)
     for seed in (1, 2):
-        start = rng_from(seed).standard_normal((count - 1) * s.d * s.d)
-        theta, point, overlaps = _levenberg_marquardt(s, start, count)
-        for got, fresh in zip(point, _decompose_generators(theta, s.d, count), strict=True):
-            assert np.array_equal(got, fresh)
-        assert np.array_equal(overlaps, _pair_overlaps(s, point[2]))
-        assert gram_mass_objective(s, theta, count) <= gram_mass_objective(s, start, count)
+        start = _messages_at(rng_from(seed).standard_normal((count - 1) * s.d * s.d), s.d, count)
+        us, overlaps = _levenberg_marquardt(s, start)
+        assert us.shape == start.shape
+        assert np.array_equal(us[0], np.eye(s.d))
+        assert unitarity_defect(us) < 1e-12
+        assert np.array_equal(overlaps, _pair_overlaps(s, us))
+        assert _mass(overlaps) <= _mass(_pair_overlaps(s, start))
 
 
 def test_levenberg_marquardt_predicted_drop_does_not_cancel():
     # A d=3, count-7 start on which the difference form |r|^2 - mu^2 |y|^2
     # of the model's predicted drop rounds below zero and then to zero.
     s = SchmidtSpectrum.from_values([0.4061792065158033, 0.31466166892217395, 0.27915912456202274])
-    start = rng_from(1645176546945092850, 0).standard_normal(6 * 9)
-    theta, _, _ = _levenberg_marquardt(s, start, 7)
-    assert gram_mass_objective(s, theta, 7) <= gram_mass_objective(s, start, 7)
+    start = _messages_at(rng_from(1645176546945092850, 0).standard_normal(6 * 9), 3, 7)
+    _, overlaps = _levenberg_marquardt(s, start)
+    assert _mass(overlaps) <= _mass(_pair_overlaps(s, start))
 
 
 @pytest.mark.parametrize(
@@ -344,15 +337,15 @@ def test_restart_with_d2_minus_1_messages_stops_on_progress_rule(values, count, 
     psi = make_schmidt_state(s)
     calls = []
 
-    def counted(theta, d, count):
+    def counted(params, d):
         calls.append(1)
-        return _decompose_generators(theta, d, count)
+        return _exponentials(params, d)
 
-    monkeypatch.setattr(encoding, "_decompose_generators", counted)
+    monkeypatch.setattr(encoding, "_exponentials", counted)
     for seed in (1, 2):
+        start = _messages_at(rng_from(seed, 0).standard_normal((count - 1) * s.d * s.d), s.d, count)
         calls.clear()
-        start = rng_from(seed, 0).standard_normal((count - 1) * s.d * s.d)
-        _, (_, _, us), _ = _levenberg_marquardt(s, start, count)
+        us, _ = _levenberg_marquardt(s, start)
         assert len(calls) <= 100
         assert not certify_distinguishable(UnitaryMessageSet(d=s.d, unitaries=tuple(us)), psi).passed
 
@@ -375,6 +368,17 @@ def test_search_full_set_maximally_entangled():
     s = uniform_spectrum(2)
     ms = search_message_set(s, 4, seed=7)
     assert ms is not None
+    assert certify_distinguishable(ms, make_schmidt_state(s)).passed
+
+
+def test_search_certifies_near_uniform_spectrum_in_one_restart():
+    # A near-uniform d=3 request whose single restart stalled at a Gram mass
+    # of about 1e-7 when the search stepped through the exp(i H(theta))
+    # chart; local-chart steps certify it.
+    s = SchmidtSpectrum.from_values([0.3335566450599518, 0.333267436789734, 0.33317591815031417])
+    ms = search_message_set(s, 7, seed=3859157519740850707, max_iters=1)
+    assert ms is not None
+    assert len(ms) == 7
     assert certify_distinguishable(ms, make_schmidt_state(s)).passed
 
 

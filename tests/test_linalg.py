@@ -176,6 +176,17 @@ def test_stacked_completion_matches_loop_reference_under_forced_redraws():
     assert len(rejected) > 100 and max(rejected) < 1.0
 
 
+def test_completion_refuses_an_unreachable_redraw_threshold():
+    # No projected norm reaches 1e9, so every draw would be rejected: each
+    # column gives up after its last allowed draw instead of looping.
+    cols = orthonormal_stack(4, 2, [1, 2, 3])
+    with tolerances.using(completion_redraw=1e9):
+        with pytest.raises(ValueError, match=r"1000 draws for column 2 all fell below completion_redraw = 1e\+09"):
+            complete_to_unitaries(cols, [1, 2, 3])
+        with pytest.raises(ValueError, match="completion_redraw"):
+            complete_to_unitary((), 5, dim=3)
+
+
 def test_stacked_completion_gates():
     cols = orthonormal_stack(4, 2, [1, 2, 3])
     with pytest.raises(ValueError, match="one seed per set"):
