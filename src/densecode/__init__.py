@@ -3,8 +3,7 @@
 Library layout:
 
 - ``linalg``: dense complex kernel (seeded unitary completion, stacked
-  LAPACK Hermitian eigensystems, ranks and random unitaries, diagonal square
-  roots)
+  LAPACK Hermitian eigensystems, ranks and random unitaries)
 - ``states``: Schmidt spectra, the shared state, local action
 - ``channels``: stacked operator-sum kernels: application, dilation,
   Kraus-pair orthogonalization, ancilla-measurement support containment
@@ -42,7 +41,6 @@ from .protocol import (
     ProtocolBundle,
     SimulationReport,
     BundleError,
-    abort_probability,
     bob_distribution,
     build_bundle,
     build_decoder,

@@ -354,10 +354,21 @@ def message_set_to_json(
 
 
 def message_set_from_json(doc: dict | str) -> UnitaryMessageSet:
+    """The message set of a ``message-set`` document; a malformed field raises ``ValueError`` naming it."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("message_set_from_json: document is not a JSON object")
     if doc.get("kind") != "message-set":
         raise ValueError("message_set_from_json: not a message-set document")
-    d = int(doc["d"])
-    ops = tuple(matrix_from_json(rows) for rows in doc["unitaries"])
+    try:
+        d = int(doc["d"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError("message_set_from_json: field 'd' is missing or not an integer") from None
+    try:
+        ops = tuple(matrix_from_json(rows) for rows in doc["unitaries"])
+    except (KeyError, TypeError, ValueError, IndexError):
+        raise ValueError(
+            "message_set_from_json: field 'unitaries' is missing or not a list of matrices of [re, im] entries"
+        ) from None
     return UnitaryMessageSet(d=d, unitaries=ops)

@@ -4,11 +4,11 @@ Products, adjoints and Hermitian eigensystems defer to numpy (LAPACK) on
 complex128 arrays (pairs of double-precision reals), and so do seeded random
 unitaries (one QR of a complex-Gaussian draw).  Eigensystems, ranks, random
 unitaries and the unitary completion work on stacks of matrices (leading
-axes).  The pieces with bespoke numerics live here: seeded unitary
+axes).  The one piece with bespoke numerics lives here: seeded unitary
 completion by modified Gram-Schmidt, kept because protocol bundles print its
-columns at full precision, run once over a whole stack of sets; and square
-roots of positive diagonal matrices.  All functions are pure; randomized
-ones take explicit seeds and are reproducible bit for bit.
+columns at full precision, run once over a whole stack of sets.  All
+functions are pure; randomized ones take explicit seeds and are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -175,36 +175,12 @@ def complete_to_unitaries(columns: np.ndarray, seeds: Sequence[int]) -> np.ndarr
     return m
 
 
-def complete_to_unitary(
-    columns: Sequence[np.ndarray] | np.ndarray, seed: int, *, dim: int | None = None
-) -> np.ndarray:
-    """Extend orthonormal columns to a square unitary matrix.
+def complete_to_unitary(columns: Sequence[np.ndarray] | np.ndarray, seed: int) -> np.ndarray:
+    """Extend orthonormal columns (a sequence of vectors) to a square unitary matrix.
 
-    The one-set case of ``complete_to_unitaries``.
-
-    Parameters
-    ----------
-    columns : orthonormal vectors of a common dimension (may be empty)
-    seed : int, selects the deterministic completion
-    dim : required when ``columns`` is empty, otherwise inferred
-
-    Raises
-    ------
-    ValueError : columns not orthonormal within tolerance, or too many.
+    The one-set case of ``complete_to_unitaries``, which makes every check.
     """
-    cols = np.asarray(columns, dtype=complex)
-    if cols.size == 0:
-        if dim is None:
-            raise ValueError("complete_to_unitary: dim required when no columns given")
-        cols = cols.reshape(0, int(dim))
-    elif cols.ndim != 2:
-        raise ValueError("complete_to_unitary: columns must be vectors of one dimension")
-    n = cols.shape[1] if dim is None else int(dim)
-    if len(cols) > n:
-        raise ValueError(f"complete_to_unitary: {len(cols)} columns exceed dimension {n}")
-    if cols.shape[1] != n:
-        raise ValueError("complete_to_unitary: column dimensions disagree")
-    return complete_to_unitaries(cols[None], [seed])[0]
+    return complete_to_unitaries(np.asarray(columns, dtype=complex)[None], [seed])[0]
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,37 +215,14 @@ def numerical_ranks(vectors: np.ndarray) -> np.ndarray:
     return np.sum(eigs > tolerances.get().rank * eigs[..., :1], axis=-1)
 
 
-def sqrt_psd_diagonal(h: np.ndarray) -> np.ndarray:
-    """Elementwise square root of a positive diagonal matrix.
-
-    Diagonal entries in [-unitarity, 0) are clamped to zero; anything more
-    negative, any off-diagonal mass, or a non-real diagonal is an error.
-    """
-    tol = tolerances.get()
-    h = as_matrix(h)
-    n = h.shape[0]
-    if h.shape[1] != n:
-        raise ValueError("sqrt_psd_diagonal: matrix is not square")
-    off = h - np.diag(np.diag(h))
-    if max_abs(off) > tol.unitarity:
-        raise ValueError("sqrt_psd_diagonal: off-diagonal entry exceeds tolerance")
-    diag = np.diag(h)
-    if max_abs(diag.imag) > tol.unitarity:
-        raise ValueError("sqrt_psd_diagonal: diagonal is not real")
-    values = diag.real.copy()
-    if np.any(values < -tol.unitarity):
-        raise ValueError("sqrt_psd_diagonal: negative diagonal entry")
-    values[values < 0.0] = 0.0
-    return np.diag(np.sqrt(values)).astype(complex)
-
-
 def random_unitaries(n: int, seeds: Sequence[int]) -> np.ndarray:
     """Seeded Haar-random unitaries, one per seed: phase-fixed Q factors of Ginibre draws.
 
-    Column k of a draw is the same complex-Gaussian vector that
-    ``complete_to_unitary((), seed, dim=n)`` draws for its column k; one
-    stacked LAPACK QR replaces the Gram-Schmidt loop, and dividing the phases
-    of R's diagonal out of Q makes that diagonal positive, as in Gram-Schmidt
+    Column k of a draw is the same complex-Gaussian vector that the
+    completion of an empty set, ``complete_to_unitaries(np.empty((1, 0, n)),
+    [seed])``, draws for its column k; one stacked LAPACK QR replaces the
+    Gram-Schmidt loop, and dividing the phases of R's diagonal out of Q makes
+    that diagonal positive, as in Gram-Schmidt
     (Mezzadri, Notices AMS 54, 2007).  The two agree to rounding.  Returns
     ``(len(seeds), n, n)``.
     """

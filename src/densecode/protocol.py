@@ -28,7 +28,7 @@ from .channels import (
     trace_out_ancilla_state,
 )
 from .encoding import UnitaryMessageSet, certify_lifted, lift_messages, weyl_set
-from .linalg import complete_to_unitary, dagger, max_abs, rng_from, sqrt_psd_diagonal
+from .linalg import complete_to_unitary, dagger, max_abs, rng_from, unitarity_defect
 from .serialize import SCHEMA, matrix_to_json, sig15, vector_to_json
 from .states import SchmidtSpectrum, local_action, make_schmidt_state
 
@@ -168,19 +168,27 @@ def build_bundle(
     t = v.reshape(d, d).T * coef[None, :]
     y = w.reshape(d, d).T * coef[None, :]
 
+    # C'C is the remainder, which must be a positive diagonal matrix; a
+    # slightly negative diagonal entry counts as zero.
     remainder = np.eye(d) - dagger(t) @ t - dagger(y) @ y
-    c = sqrt_psd_diagonal(remainder)
-    gamma = np.real(np.diag(c)) ** 2
+    diagonal = np.real(np.diag(remainder))
+    off_psd = max_abs(remainder - np.diag(np.maximum(diagonal, 0.0)))
+    if not off_psd <= tol.unitarity:  # also refuses NaN
+        raise BundleError(
+            f"Kraus remainder I - T'T - Y'Y is not a positive diagonal matrix (defect {off_psd:g})",
+            {"remainder": off_psd},
+        )
     # Diagonal entries that vanish by construction (every index tied with the
     # smallest coefficient) carry O(eps) junk whose square root would pollute
     # the C branch at the 1e-8 level; snap them to exact zeros.
-    raw_last = abs(float(np.real(np.diag(remainder))[-1]))
-    gamma[np.abs(np.real(np.diag(remainder))) <= tol.equality] = 0.0
-    c = np.diag(np.sqrt(gamma)).astype(complex)
+    root = np.sqrt(np.maximum(diagonal, 0.0))
+    root[np.abs(diagonal) <= tol.equality] = 0.0
+    gamma = root ** 2
+    c = np.diag(root).astype(complex)
 
     defects: dict[str, float] = {"certificate": cert.gram_defect}
     defects["kraus_condition"] = max_abs(dagger(t) @ t + dagger(y) @ y + dagger(c) @ c - np.eye(d))
-    defects["gamma_last"] = raw_last
+    defects["gamma_last"] = abs(float(diagonal[-1]))
     defects["gamma_formula"] = max_abs(gamma - gamma_from_spectrum(spectrum))
     overshoot = gamma - d * d * (lam - lam[-1]) / (2.0 * lam)
     defects["gamma_overestimate"] = max(0.0, float(np.max(overshoot)))
@@ -209,9 +217,7 @@ def build_bundle(
             raise BundleError(f"invariant {name} fails: defect {defects[name]:g} > {gate:g}", defects)
 
     dilation = dilation_unitary(QuantumChannel(d=d, kraus=(t, y, c)), seed)
-    defects["dilation_unitarity"] = max_abs(
-        dagger(dilation.u_tilde) @ dilation.u_tilde - np.eye(d * dilation.ancilla_dim)
-    )
+    defects["dilation_unitarity"] = unitarity_defect(dilation.u_tilde)
     if defects["dilation_unitarity"] > tol.unitarity:
         raise BundleError("dilation unitarity fails", defects)
 
@@ -235,25 +241,6 @@ def build_bundle(
         seed=seed,
         defects=defects,
     )
-
-
-def abort_probability(bundle: ProtocolBundle) -> float:
-    """The ancilla-outcome-1 probability p1 = sum_j lambda_j gamma_j.
-
-    This is the chance the final-message encoding aborts; the protocol
-    delivers the message with probability 1 - p1.  Cross-checked against the
-    C-branch norm and the closed form 1 - 2*lambda_min/R_min.
-    """
-    tol = tolerances.get()
-    lam = np.asarray(bundle.spectrum.lambdas)
-    p1 = float(np.sum(lam * bundle.gamma))
-    branch = float(np.linalg.norm(bundle.branches[2]) ** 2)
-    closed = 1.0 - 2.0 * lam[-1] / bundle.r[-1]
-    if abs(p1 - branch) > tol.equality or abs(p1 - closed) > tol.bundle:
-        raise BundleError(
-            f"p1 routes disagree: sum {p1:.17g}, branch {branch:.17g}, closed {closed:.17g}"
-        )
-    return p1
 
 
 def p1_bound_general(spectrum: SchmidtSpectrum) -> float:
@@ -294,7 +281,7 @@ def bounds_rows(d: int, lambda0s) -> list[dict[str, float]]:
     for lam0 in lambda0s:
         exact, bound_tail = p1_equal_tail(d, float(lam0))
         bound_gen = p1_bound_general(equal_tail_spectrum(d, float(lam0)))
-        if exact > bound_tail + eq or bound_tail > bound_gen + eq:
+        if bound_tail > bound_gen + eq:  # p1_equal_tail has checked exact <= bound_tail
             raise RuntimeError(f"bound ordering violated at d={d}, lambda0={lam0}")
         rows.append(
             {

@@ -35,7 +35,7 @@ from .channels import (
     trace_out_ancilla_state,
     validate_kraus,
 )
-from .linalg import dagger, hermitian_eigenvalues, max_abs, numerical_ranks, rng_from
+from .linalg import dagger, hermitian_eigenvalues, max_abs, numerical_ranks, rng_from, unitarity_defect
 from .states import local_action, pure_densities, schmidt_coords, validate_spectra
 
 
@@ -139,7 +139,7 @@ def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
         kraus = _channels(d, n_kraus, [seed + 1000 + c.k for c in group])
         psi = _states(group)
         u = dilation_unitaries(kraus, [seed + 2000 + c.k for c in group])
-        worst_unitarity = max(worst_unitarity, max_abs(dagger(u) @ u - np.eye(d * n_kraus)))
+        worst_unitarity = max(worst_unitarity, unitarity_defect(u))
         reduced = trace_out_ancilla_state(dilate(u, psi), n_kraus)
         direct = apply_kraus(kraus, pure_densities(psi))
         worst_agreement = max(worst_agreement, max_abs(reduced - direct))

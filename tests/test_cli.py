@@ -260,6 +260,17 @@ def test_unreachable_redraw_threshold_is_an_error_document(capsys):
     assert "completion_redraw = 1e+09" in doc["error"]
 
 
+def test_malformed_messages_file_is_an_error_document(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "message-set", "d": 2, "unitaries": [[[1, 0]]]}))
+    code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.4", "--messages", str(bad))
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert (doc["schema"], doc["kind"]) == ("densecode/1", "error")
+    assert "field 'unitaries'" in doc["error"]
+
+
 def test_spectrum_sum_error_names_a_plain_float(capsys):
     code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.5")
     assert code == 1

@@ -403,3 +403,21 @@ def test_message_set_json_round_trip(example_spectrum):
     assert back.d == 2
     for a, b in zip(back.unitaries, ms.unitaries):
         assert max_abs(a - b) == 0.0
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([1, 2], "not a JSON object"),
+        ({"kind": "message-set"}, "field 'd'"),
+        ({"kind": "message-set", "d": "two", "unitaries": []}, "field 'd'"),
+        ({"kind": "message-set", "d": 2}, "field 'unitaries'"),
+        ({"kind": "message-set", "d": 2, "unitaries": [[[1, 0]]]}, "field 'unitaries'"),
+        ({"kind": "message-set", "d": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "I"]}, "field 'unitaries'"),
+    ],
+)
+def test_malformed_message_set_document_names_its_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        message_set_from_json(doc)
+    with pytest.raises(ValueError, match=field):
+        message_set_from_json(json.dumps(doc))

@@ -22,7 +22,6 @@ EXPORTS = {
     "SchmidtSpectrum",
     "SimulationReport",
     "UnitaryMessageSet",
-    "abort_probability",
     "apply_local",
     "bob_distribution",
     "build_bundle",

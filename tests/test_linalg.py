@@ -12,7 +12,6 @@ from densecode.linalg import (
     numerical_ranks,
     random_unitaries,
     rng_from,
-    sqrt_psd_diagonal,
     unitarity_defect,
 )
 
@@ -78,7 +77,7 @@ def test_completion_of_standard_basis():
 
 
 def test_completion_reproduces_inputs_bit_exactly():
-    base = complete_to_unitary((), seed=77, dim=5)
+    base = complete_to_unitaries(np.empty((1, 0, 5)), [77])[0]
     cols = [base[:, k] for k in range(3)]
     m = complete_to_unitary(cols, seed=4)
     for k, c in enumerate(cols):
@@ -108,7 +107,7 @@ def test_completion_rejects_bad_input():
 
 def test_completion_defect_over_many_seeds():
     for seed in range(30):
-        m = complete_to_unitary((), seed, dim=6)
+        m = complete_to_unitaries(np.empty((1, 0, 6)), [seed])[0]
         assert unitarity_defect(m) < 1e-10
 
 
@@ -119,7 +118,7 @@ def test_random_unitary_matches_gram_schmidt_completion():
         for seed in range(4):
             u = random_unitaries(n, [seed])[0]
             assert unitarity_defect(u) <= tolerances.get().unitarity
-            assert max_abs(u - complete_to_unitary((), seed, dim=n)) <= 1e-13
+            assert max_abs(u - complete_to_unitaries(np.empty((1, 0, n)), [seed])[0]) <= 1e-13
 
 
 def test_random_unitaries_slices_are_random_unitary():
@@ -156,7 +155,7 @@ def test_stacked_completion_matches_loop_reference(n):
         assert got.shape == (size, n, n)
         for c, seed, u in zip(cols, seeds, got, strict=True):
             assert np.array_equal(u, complete_to_unitary_loop(c, seed, dim=n))
-        assert np.array_equal(complete_to_unitary(cols[0], seeds[0], dim=n), got[0])
+        assert np.array_equal(complete_to_unitary(cols[0], seeds[0]), got[0])
 
 
 def test_stacked_completion_matches_loop_reference_under_forced_redraws():
@@ -184,7 +183,7 @@ def test_completion_refuses_an_unreachable_redraw_threshold():
         with pytest.raises(ValueError, match=r"1000 draws for column 2 all fell below completion_redraw = 1e\+09"):
             complete_to_unitaries(cols, [1, 2, 3])
         with pytest.raises(ValueError, match="completion_redraw"):
-            complete_to_unitary((), 5, dim=3)
+            complete_to_unitaries(np.empty((1, 0, 3)), [5])
 
 
 def test_stacked_completion_gates():
@@ -282,27 +281,3 @@ def test_completion_deterministic_per_seed():
     assert np.array_equal(a, b)
     c = complete_to_unitary([np.eye(4)[:, 0]], seed=124)
     assert not np.array_equal(a, c)
-
-
-def test_sqrt_psd_diagonal_basic():
-    out = sqrt_psd_diagonal(np.diag([4.0, 0.0]))
-    assert max_abs(out - np.diag([2.0, 0.0])) == 0.0
-
-
-def test_sqrt_psd_diagonal_example_entry():
-    out = sqrt_psd_diagonal(np.diag([320 / 6561, 0.0]))
-    assert abs(out[0, 0] - np.sqrt(320 / 6561)) == 0.0
-    squared = out @ out
-    assert max_abs(squared - np.diag([320 / 6561, 0.0])) < 1e-15
-
-
-def test_sqrt_psd_diagonal_clamps_tiny_negative():
-    out = sqrt_psd_diagonal(np.diag([-5e-11, 1.0]))
-    assert max_abs(out - np.diag([0.0, 1.0])) == 0.0
-
-
-def test_sqrt_psd_diagonal_rejections():
-    with pytest.raises(ValueError):
-        sqrt_psd_diagonal(np.array([[1.0, 1e-5], [1e-5, 1.0]]))
-    with pytest.raises(ValueError):
-        sqrt_psd_diagonal(np.diag([-1e-3, 1.0]))

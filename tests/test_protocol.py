@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from densecode import protocol, tolerances
 from densecode.channels import dilate
 from densecode.encoding import UnitaryMessageSet, certify_distinguishable, search_message_set, weyl_set
-from densecode.linalg import max_abs, rng_from
+from densecode.linalg import max_abs, random_unitaries, rng_from
 from densecode.protocol import (
     SIM_CHUNK,
     BundleError,
     VARIANT_MEASURE,
     VARIANT_NO_MEASURE,
-    abort_probability,
     bob_distribution,
     bounds_rows,
     build_bundle,
@@ -172,8 +171,46 @@ def test_lifted_branches_orthogonal_to_messages(example_spectrum):
                 assert abs(np.vdot(apply_local(u, psi).coords, lifted)) < 1e-10
 
 
+def assert_p1_routes(bundle):
+    """p1 = sum_j lambda_j gamma_j matches the closed form and the C-branch norm."""
+    tol = tolerances.get()
+    lam = np.asarray(bundle.spectrum.lambdas)
+    closed = 1.0 - 2.0 * lam[-1] / bundle.r[-1]
+    assert abs(bundle.p1 - closed) <= tol.bundle
+    assert abs(bundle.p1 - float(np.linalg.norm(bundle.branches[2]) ** 2)) <= tol.equality
+
+
 def test_abort_probability_routes(example_bundle):
-    assert abs(abort_probability(example_bundle) - 2 / 81) < 1e-12
+    assert abs(example_bundle.p1 - 2 / 81) < 1e-12
+    assert_p1_routes(example_bundle)
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [([0.35, 0.325, 0.325], 7), ([0.28, 0.24, 0.24, 0.24], 14)],
+)
+def test_flat_tail_bundle_has_exact_zero_gammas(values, count):
+    # Every index tied with the smallest coefficient has gamma = 0 by
+    # construction; the bundle snaps it to an exact zero, and C is the
+    # square root of gamma bit for bit.
+    s = SchmidtSpectrum.from_values(values)
+    messages = search_message_set(s, count, seed=1, max_iters=1)
+    assert messages is not None
+    bundle = build_bundle(s, messages, seed=SEED)
+    exact, _ = p1_equal_tail(s.d, values[0])
+    assert abs(bundle.p1 - exact) <= tolerances.get().bundle
+    assert np.all(bundle.gamma[1:] == 0.0) and bundle.gamma[0] > 0.0
+    assert np.array_equal(bundle.c, np.diag(np.sqrt(bundle.gamma)))
+    assert_p1_routes(bundle)
+
+
+def test_bundle_refuses_a_remainder_off_the_positive_diagonal(example_spectrum, monkeypatch):
+    # A completion that ignores the lifted columns leaves T'T + Y'Y with
+    # off-diagonal mass, so I - T'T - Y'Y has no diagonal square root.
+    monkeypatch.setattr(protocol, "complete_to_unitary", lambda columns, seed: random_unitaries(4, [seed])[0])
+    with pytest.raises(BundleError, match="Kraus remainder") as err:
+        build_bundle(example_spectrum, default_messages(2), seed=SEED)
+    assert err.value.defects["remainder"] > tolerances.get().unitarity
 
 
 def test_abort_probability_equal_tail_d3():
@@ -487,7 +524,7 @@ def test_bundle_states_property(lam0):
         for index in range(bundle.n_messages):
             encoded = encode_message(bundle, index, variant, rng_from(SEED, index))
             assert bob_distribution(decoder, encoded)[-1] <= eq
-    abort_probability(bundle)
+    assert_p1_routes(bundle)
 
 
 def test_simulate_accepts_cli_variant_names(example_bundle, example_decoder):
