@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .encoding import UnitaryMessageSet, lift_messages, weyl_set
+from .channels import kraus_sums
+from .encoding import UnitaryMessageSet, certify_lifted, lift_messages, weyl_set
 from .linalg import as_matrix, dagger, max_abs
 from .states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 
@@ -38,8 +39,7 @@ def two_kraus_column_identity(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     k1 = as_matrix(k1)
     if k0.shape != k1.shape or k0.shape[0] != k0.shape[1]:
         raise ValueError("two_kraus_column_identity: need two square matrices of equal size")
-    d = k0.shape[0]
-    return np.abs(dagger(k0) @ k0 + dagger(k1) @ k1 - np.eye(d))
+    return np.abs(kraus_sums(np.stack((k0, k1))) - np.eye(k0.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,16 +47,17 @@ class ImpossibilityReport:
     """Defects of every checked identity for one configuration.
 
     ``x`` is the squared norm of the first lifted Kraus state, ``b`` the
-    column masses of the first Kraus matrix, ``e_mat``/``w_mat`` the
-    normalized Kraus matrices, and ``gamma_row`` the common diagonal value
-    sum(1/lambda_j) - (d^2 - 2).  ``case_tag`` records the x = 1/2 split, or
-    that the orthonormality hypothesis failed.
+    column masses of the first Kraus matrix, and ``gamma_row`` the common
+    diagonal value sum(1/lambda_j) - (d^2 - 2).  ``case_tag`` records the
+    x = 1/2 split, or that the orthonormality hypothesis failed.
+    ``defects["hypotheses_gram"]`` is the ``certify_lifted`` Gram defect of
+    the extended basis (inf when the two lifted Kraus states do not split
+    the unit norm as x, 1 - x); a configuration that violates the
+    hypothesis reports only it and ``completeness``.
     """
 
     x: float
     b: np.ndarray
-    e_mat: np.ndarray
-    w_mat: np.ndarray
     gamma_row: float
     case_tag: str
     defects: dict[str, float]
@@ -107,76 +108,55 @@ def verify_necessary_identities(
     phi1 = apply_local(k1, psi).coords
     x = float(np.vdot(phi0, phi0).real)
     one_minus_x = float(np.vdot(phi1, phi1).real)
+    gamma_row = float(np.sum(1.0 / lam) - (d * d - 2))
+    b = np.real(np.sum(np.abs(k0) ** 2, axis=0))
 
-    defects: dict[str, float] = {}
-    defects["completeness"] = float(np.max(two_kraus_column_identity(k0, k1)))
-
-    hypotheses_ok = 0.0 < x < 1.0 and abs(x + one_minus_x - 1.0) < tol.identity
-    if hypotheses_ok:
+    defects = {
+        "completeness": float(np.max(two_kraus_column_identity(k0, k1))),
+        "hypotheses_gram": float("inf"),
+    }
+    if 0.0 < x < 1.0 and abs(x + one_minus_x - 1.0) < tol.identity:
         basis = np.vstack(
             (lift_messages(messages, psi), phi0 / np.sqrt(x), phi1 / np.sqrt(1.0 - x))
         )
-        gram_defect = max_abs(basis.conj() @ basis.T - np.eye(d * d))
-        defects["hypotheses_gram"] = float(gram_defect)
-        hypotheses_ok = gram_defect < tol.identity
-    else:
-        defects["hypotheses_gram"] = float("inf")
+        defects["hypotheses_gram"] = certify_lifted(basis).gram_defect
 
-    gamma_row = float(np.sum(1.0 / lam) - (d * d - 2))
-    b = np.real(np.sum(np.abs(k0) ** 2, axis=0))
-    e_mat = k0 / np.sqrt(x) if 0.0 < x else k0.copy()
-    w_mat = k1 / np.sqrt(1.0 - x) if x < 1.0 else k1.copy()
+    case_tag = HYPOTHESES_VIOLATED
+    if defects["hypotheses_gram"] < tol.identity:
+        case_tag = CASE_I if abs(x - 0.5) < tol.case_split else CASE_II
 
-    if not hypotheses_ok:
-        return ImpossibilityReport(
-            x=x,
-            b=b,
-            e_mat=e_mat,
-            w_mat=w_mat,
-            gamma_row=gamma_row,
-            case_tag=HYPOTHESES_VIOLATED,
-            defects=defects,
+        # Cross-column cancellation: for i != j the two weighted column inner
+        # products must cancel exactly.
+        g0 = dagger(k0) @ k0
+        g1 = dagger(k1) @ k1
+        weight = np.sqrt(np.outer(lam, lam))
+        cross = weight * (g0 / x + g1 / (1.0 - x))
+        np.fill_diagonal(cross, 0.0)
+        defects["cross_column"] = max_abs(cross)
+
+        # Row sums: lambda_j [d^2 - 2 + b_j/x + (1-b_j)/(1-x)] = d for every j.
+        row = lam * (d * d - 2 + b / x + (1.0 - b) / (1.0 - x)) - d
+        defects["row_sum"] = float(np.max(np.abs(row)))
+
+        # Closed form for the column masses (only defined away from x = 1/2).
+        if case_tag == CASE_II:
+            b_closed = -x / (1.0 - 2.0 * x) + x * (1.0 - x) / (1.0 - 2.0 * x) * (
+                d / lam + 2.0 - d * d
+            )
+            defects["b_formula"] = float(np.max(np.abs(b - b_closed)))
+
+        # Row Gram: EE' + WW' must be gamma_row times the identity, with E and
+        # W the normalized Kraus matrices.
+        e_mat = k0 / np.sqrt(x)
+        w_mat = k1 / np.sqrt(1.0 - x)
+        defects["row_gram"] = max_abs(
+            e_mat @ dagger(e_mat) + w_mat @ dagger(w_mat) - gamma_row * np.eye(d)
         )
 
-    case_tag = CASE_I if abs(x - 0.5) < tol.case_split else CASE_II
+        # Terminal condition: the coefficient ratios must sum to d exactly.
+        defects["terminal"] = abs(uniformity_witness(spectrum)[0] - d)
 
-    # Cross-column cancellation: for i != j the two weighted column inner
-    # products must cancel exactly.
-    g0 = dagger(k0) @ k0
-    g1 = dagger(k1) @ k1
-    weight = np.sqrt(np.outer(lam, lam))
-    cross = weight * (g0 / x + g1 / (1.0 - x))
-    np.fill_diagonal(cross, 0.0)
-    defects["cross_column"] = max_abs(cross)
-
-    # Row sums: lambda_j [d^2 - 2 + b_j/x + (1-b_j)/(1-x)] = d for every j.
-    row = lam * (d * d - 2 + b / x + (1.0 - b) / (1.0 - x)) - d
-    defects["row_sum"] = float(np.max(np.abs(row)))
-
-    # Closed form for the column masses (only defined away from x = 1/2).
-    if case_tag == CASE_II:
-        b_closed = -x / (1.0 - 2.0 * x) + x * (1.0 - x) / (1.0 - 2.0 * x) * (
-            d / lam + 2.0 - d * d
-        )
-        defects["b_formula"] = float(np.max(np.abs(b - b_closed)))
-
-    # Row Gram: EE' + WW' must be gamma_row times the identity.
-    defects["row_gram"] = max_abs(
-        e_mat @ dagger(e_mat) + w_mat @ dagger(w_mat) - gamma_row * np.eye(d)
-    )
-
-    # Terminal condition: the coefficient ratios must sum to d exactly.
-    defects["terminal"] = abs(float(np.sum(lam[0] / lam)) - d)
-
-    return ImpossibilityReport(
-        x=x,
-        b=b,
-        e_mat=e_mat,
-        w_mat=w_mat,
-        gamma_row=gamma_row,
-        case_tag=case_tag,
-        defects=defects,
-    )
+    return ImpossibilityReport(x=x, b=b, gamma_row=gamma_row, case_tag=case_tag, defects=defects)
 
 
 def uniformity_witness(spectrum: SchmidtSpectrum) -> tuple[float, bool]:

@@ -203,7 +203,9 @@ class OrthogonalizationResult:
     Every field is an array over the stack of ``orthogonalize_kraus_pairs``.
     ``residual`` is the worse of the two roots' residuals in the
     orthogonality quadratic (``orthogonality_quadratics``), 0.0 where the
-    pair was already orthogonal.
+    pair was already orthogonal.  ``overlap`` is |<phi_0|phi_1>| of the
+    mixed pair's lifted states, the value the final gate compares against
+    the unitarity tolerance.
     """
 
     v: np.ndarray
@@ -211,6 +213,7 @@ class OrthogonalizationResult:
     theta: np.ndarray
     xi: np.ndarray
     residual: np.ndarray
+    overlap: np.ndarray
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,9 +259,10 @@ def orthogonalize_kraus_pairs(
     exceeds pi/4 and the mixing matrix is well defined.  One overall phase is
     free and fixed to zero, making the output deterministic.  An already
     orthogonal pair is kept as it is.  Returns the mixing data (arrays over
-    the stack, with the worst root residual of each quadratic) and the
-    replacement pairs ``(B, 2, d, d)``; each replacement channel acts
-    identically to the original.
+    the stack, with the worst root residual of each quadratic and the
+    overlap left in each mixed pair) and the replacement pairs
+    ``(B, 2, d, d)``; each replacement channel acts identically to the
+    original.
     """
     tol = tolerances.get()
     d = pairs.shape[-1]
@@ -292,10 +296,11 @@ def orthogonalize_kraus_pairs(
     mixed = v[..., :, 0, None, None] * k0 + v[..., :, 1, None, None] * k1
     mixed = np.where(orthogonal[..., None, None, None], pairs, mixed)
     lifted = local_action(mixed, coords[..., None, :])
-    mixed_overlap = np.abs(_inner(lifted[..., 0, :], lifted[..., 1, :])).max()
-    if mixed_overlap > tol.unitarity:
-        raise RuntimeError(f"orthogonalize_kraus_pairs: residual overlap {mixed_overlap:g}")
-    return OrthogonalizationResult(v=v, z=z, theta=theta, xi=xi, residual=residual), mixed
+    overlap = np.abs(_inner(lifted[..., 0, :], lifted[..., 1, :]))
+    if overlap.max() > tol.unitarity:
+        raise RuntimeError(f"orthogonalize_kraus_pairs: residual overlap {overlap.max():g}")
+    result = OrthogonalizationResult(v=v, z=z, theta=theta, xi=xi, residual=residual, overlap=overlap)
+    return result, mixed
 
 
 # ---------------------------------------------------------------------------

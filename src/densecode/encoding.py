@@ -361,10 +361,9 @@ def message_set_from_json(doc: dict | str) -> UnitaryMessageSet:
         raise ValueError("message_set_from_json: document is not a JSON object")
     if doc.get("kind") != "message-set":
         raise ValueError("message_set_from_json: not a message-set document")
-    try:
-        d = int(doc["d"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError("message_set_from_json: field 'd' is missing or not an integer") from None
+    d = doc.get("d")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError("message_set_from_json: field 'd' is missing or not an integer")
     try:
         ops = tuple(matrix_from_json(rows) for rows in doc["unitaries"])
     except (KeyError, TypeError, ValueError, IndexError):

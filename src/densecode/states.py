@@ -93,15 +93,10 @@ def parse_spectrum(text: str) -> SchmidtSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Coordinate vector of a two-qudit state in the d-groups-of-d ordering.
-
-    ``normalized`` is set from the actual norm; branch states produced by
-    non-unitary operators carry ``normalized=False``.
-    """
+    """Coordinate vector of a two-qudit state in the d-groups-of-d ordering."""
 
     d: int
     coords: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         coords = as_vector(self.coords).copy()  # frozen below; no alias of the caller's array
@@ -109,8 +104,11 @@ class BipartiteState:
             raise ValueError("BipartiteState: coordinate count must be d*d")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        unit = abs(float(np.linalg.norm(coords)) - 1.0) <= tolerances.get().equality
-        object.__setattr__(self, "normalized", unit)
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the norm is 1 within the equality tolerance (false for most branch states)."""
+        return abs(self.norm() - 1.0) <= tolerances.get().equality
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))

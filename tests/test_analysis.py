@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from densecode import tolerances
 from densecode.analysis import (
     CASE_I,
     CASE_II,
@@ -62,6 +64,34 @@ def test_identities_case_ii_witness():
     assert "b_formula" in report.defects
     assert report.max_identity_defect() < 1e-9
     assert np.allclose(report.b, 0.3, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=5),
+    x=st.floats(min_value=0.05, max_value=0.95).filter(lambda v: abs(v - 0.5) > 1e-3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_identity_chain_property(d, x, seed):
+    # An unbalanced witness passes the whole chain; the same Kraus pair on a
+    # non-uniform spectrum fails the hypotheses but still reports x and gamma_row.
+    tol = tolerances.get()
+    spectrum, messages, k0, k1 = weyl_witness(d, x)
+    report = verify_necessary_identities(spectrum, messages, k0, k1)
+    assert report.case_tag == CASE_II
+    assert "b_formula" in report.defects
+    assert np.max(np.abs(report.b - x)) <= tol.equality
+    assert report.max_identity_defect() <= tol.identity
+
+    skewed = random_spectrum(d, rng_from(seed))
+    assume(skewed.lambdas[0] - skewed.lambdas[-1] > 1e-3)
+    violated = verify_necessary_identities(skewed, messages, k0, k1)
+    assert violated.case_tag == HYPOTHESES_VIOLATED
+    assert set(violated.defects) == {"completeness", "hypotheses_gram"}
+    assert violated.defects["hypotheses_gram"] > tol.identity
+    assert abs(violated.x - x) <= tol.equality  # every column of k0 has squared norm x
+    lam = np.asarray(skewed.lambdas)
+    assert violated.gamma_row == float(np.sum(1.0 / lam) - (d * d - 2))
 
 
 def test_identities_violated_on_non_maximal_spectrum(example_spectrum):

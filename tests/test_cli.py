@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -130,6 +131,23 @@ def test_bounds_json_format(capsys):
     doc = json.loads(out)
     assert doc["kind"] == "bounds" and len(doc["rows"]) == 3
     assert doc["rows"][0]["lambda0"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--d", "3"), "f0bce42268227e4a7ad247e3c1f6e44508882a6d42a484ff26340452afd601af"),
+        (("--d", "4", "--format", "json"),
+         "9d6586197ad98cfe4ac017767031989f9d529b1cf92e270b901435a524ba3a34"),
+        (("--d", "3", "--lambda0", "1/3,3/8,0.4"),
+         "396c7ea053cb3607ea0abc855ed87d82546a77af287087cb805ada894fc2d2de"),
+    ],
+)
+def test_bounds_output_golden(capsys, argv, digest):
+    # bounds is plain float arithmetic rounded by sig15, so its bytes hold on any platform.
+    code, out, _ = run(capsys, "bounds", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_bounds_rejects_out_of_range(capsys):

@@ -414,6 +414,10 @@ def test_message_set_json_round_trip(example_spectrum):
         ({"kind": "message-set", "d": 2}, "field 'unitaries'"),
         ({"kind": "message-set", "d": 2, "unitaries": [[[1, 0]]]}, "field 'unitaries'"),
         ({"kind": "message-set", "d": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "I"]}, "field 'unitaries'"),
+        ({"kind": "message-set", "d": 2.7, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "field 'd'"),
+        ({"kind": "message-set", "d": "2", "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "field 'd'"),
+        ({"kind": "message-set", "d": 2.0, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "field 'd'"),
+        ({"kind": "message-set", "d": True, "unitaries": [[[[1, 0]]]]}, "field 'd'"),
     ],
 )
 def test_malformed_message_set_document_names_its_field(doc, field):
