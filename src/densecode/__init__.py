@@ -23,7 +23,6 @@ from .analysis import (
     weyl_witness,
 )
 from .channels import (
-    DilationResult,
     OrthogonalizationResult,
     QuantumChannel,
     dilation_unitary,

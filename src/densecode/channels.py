@@ -8,8 +8,9 @@ side of the shared state.  Every operation here takes a stack of Kraus sets
 onto an ancilla, ``orthogonalize_kraus_pairs`` rotates two-element pairs so
 their lifted states become orthogonal, and ``containment_residuals`` checks
 that measuring the ancilla only steers the joint state inside the support of
-the channel output.  One channel is a one-item stack
-(``QuantumChannel.stacked``).
+the channel output.  ``QuantumChannel`` holds its Kraus matrices as one
+read-only ``(n, d, d)`` stack, so one channel is the one-item stack
+``channel.kraus[None]``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     as_matrix,
     complete_to_unitaries,
     dagger,
+    frozen,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     max_abs,
@@ -50,27 +52,20 @@ def validate_kraus(kraus: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """Ordered Kraus matrices; may be trace-preserving or sub-normalized."""
+    """Ordered Kraus matrices, one read-only ``(n, d, d)`` stack; trace-preserving or sub-normalized."""
 
     d: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("QuantumChannel: need at least one Kraus matrix")
         ops = [as_matrix(k) for k in self.kraus]
         for k in ops:
             if k.shape != (self.d, self.d):
                 raise ValueError(f"QuantumChannel: Kraus shape {k.shape} != ({self.d}, {self.d})")
-        stack = np.array(ops)  # a frozen copy, not the caller's arrays
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
-        validate_kraus(stack)
-
-    def stacked(self) -> np.ndarray:
-        """The Kraus matrices as one read-only ``(n, d, d)`` array."""
-        return self._stack
+        object.__setattr__(self, "kraus", frozen(ops))
+        validate_kraus(self.kraus)
 
 
 def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -126,19 +121,6 @@ def lifted_kraus(kraus: np.ndarray, coords: np.ndarray) -> np.ndarray:
 # Unitary dilation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DilationResult:
-    """Unitary on (qudit x ancilla) whose ancilla-0 column block stacks the Kraus matrices."""
-
-    u_tilde: np.ndarray
-    ancilla_dim: int
-
-    def __post_init__(self) -> None:
-        u = as_matrix(self.u_tilde).copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u_tilde", u)
-
-
 def dilation_unitaries(kraus: np.ndarray, seeds) -> np.ndarray:
     """Dilation unitaries of trace-preserving Kraus sets ``(B, n, d, d)``, one seed each.
 
@@ -164,13 +146,13 @@ def dilation_unitaries(kraus: np.ndarray, seeds) -> np.ndarray:
     return u
 
 
-def dilation_unitary(channel: QuantumChannel, seed: int) -> DilationResult:
+def dilation_unitary(channel: QuantumChannel, seed: int) -> np.ndarray:
     """Extend a trace-preserving channel to a unitary on qudit + N-level ancilla.
 
-    The one-channel case of ``dilation_unitaries``.
+    The one-channel case of ``dilation_unitaries``, as a read-only
+    ``(d*N, d*N)`` array; the ancilla dimension N is ``len(channel.kraus)``.
     """
-    u = dilation_unitaries(channel.stacked()[None], [seed])[0]
-    return DilationResult(u_tilde=u, ancilla_dim=len(channel.kraus))
+    return frozen(dilation_unitaries(channel.kraus[None], [seed])[0])
 
 
 def dilate(u: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -20,27 +20,27 @@ from functools import lru_cache
 import numpy as np
 
 from . import tolerances
-from .linalg import as_matrix, dagger, max_abs, rng_from, unitarity_defect
+from .linalg import as_matrix, dagger, frozen, max_abs, rng_from, unitarity_defect
 from .serialize import SCHEMA, matrix_from_json, matrix_to_json
 from .states import BipartiteState, SchmidtSpectrum, local_action, make_schmidt_state
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMessageSet:
+    """Message unitaries, held as one read-only ``(count, d, d)`` stack."""
+
     d: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
 
     def __post_init__(self) -> None:
-        tol = tolerances.get()
-        ops = tuple(as_matrix(u).copy() for u in self.unitaries)  # frozen below, not the caller's
-        for u in ops:
-            if u.shape != (self.d, self.d):
-                raise ValueError("UnitaryMessageSet: operator shape does not match d")
-            defect = unitarity_defect(u)
-            if defect >= tol.unitarity:
-                raise ValueError(f"UnitaryMessageSet: unitarity defect {defect:g}")
-            u.setflags(write=False)
-        object.__setattr__(self, "unitaries", ops)
+        ops = [as_matrix(u) for u in self.unitaries]
+        if any(u.shape != (self.d, self.d) for u in ops):
+            raise ValueError("UnitaryMessageSet: operator shape does not match d")
+        stack = frozen(np.array(ops, dtype=complex).reshape(len(ops), self.d, self.d))
+        defect = unitarity_defect(stack)
+        if defect >= tolerances.get().unitarity:
+            raise ValueError(f"UnitaryMessageSet: unitarity defect {defect:g}")
+        object.__setattr__(self, "unitaries", stack)
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -57,8 +57,10 @@ class DistinguishabilityCertificate:
 def lift_messages(messages: UnitaryMessageSet, psi: BipartiteState) -> np.ndarray:
     """Lifted message states ``(count, d*d)``: row k is U_k on Alice's side of ``psi``."""
     if messages.d != psi.d:
-        raise ValueError("certify_distinguishable: dimension mismatch")
-    return local_action(np.stack(messages.unitaries), psi.coords)
+        raise ValueError(
+            f"lift_messages: dimension mismatch (message set d={messages.d}, state d={psi.d})"
+        )
+    return local_action(messages.unitaries, psi.coords)
 
 
 def certify_lifted(lifted: np.ndarray) -> DistinguishabilityCertificate:
@@ -101,7 +103,7 @@ def weyl_set(d: int) -> UnitaryMessageSet:
     for n in range(d * d):
         a, b = n % d, n // d
         ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return UnitaryMessageSet(d=d, unitaries=tuple(ops))
+    return UnitaryMessageSet(d=d, unitaries=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,7 @@ def search_message_set(
     for restart in range(max_iters):
         start = _messages_at(rng_from(seed, restart).standard_normal(n_params), d, count)
         us, _ = _levenberg_marquardt(spectrum, start)
-        candidate = UnitaryMessageSet(d=d, unitaries=tuple(us))
+        candidate = UnitaryMessageSet(d=d, unitaries=us)
         if certify_distinguishable(candidate, psi).passed:
             return candidate
     return None
@@ -346,7 +348,7 @@ def message_set_to_json(
         "kind": "message-set",
         "d": messages.d,
         "count": len(messages),
-        "unitaries": [matrix_to_json(u) for u in messages.unitaries],
+        "unitaries": matrix_to_json(messages.unitaries),
         "certificate_defect": cert.gram_defect,
         "pass": cert.passed,
         "seed": seed,

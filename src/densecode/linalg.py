@@ -8,7 +8,8 @@ axes).  The one piece with bespoke numerics lives here: seeded unitary
 completion by modified Gram-Schmidt, kept because protocol bundles print its
 columns at full precision, run once over a whole stack of sets.  All
 functions are pure; randomized ones take explicit seeds and are reproducible
-bit for bit.
+bit for bit.  ``frozen`` makes the read-only copy that every value object of
+the package holds in place of its caller's array.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("vector has non-finite entries")
     return x
+
+
+def frozen(a) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``: no later write, and no write to ``a``, reaches it."""
+    a = np.array(a, order="C")
+    a.setflags(write=False)
+    return a
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -11,24 +11,22 @@ projector onto the (T, Y) branch plane, and never confuses two messages.
 
 All derived quantities are validated eagerly at construction: each bundle
 invariant is a checkable equation of the construction, and silent drift
-would invalidate everything downstream.
+would invalidate everything downstream.  For the same reason every array a
+bundle or decoder holds is a read-only copy (``linalg.frozen``): a write to
+it raises instead of changing later decodes or the emitted JSON.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances
-from .channels import (
-    DilationResult,
-    QuantumChannel,
-    dilation_unitary,
-    trace_out_ancilla_state,
-)
+from .channels import QuantumChannel, dilation_unitary, trace_out_ancilla_state
 from .encoding import UnitaryMessageSet, certify_lifted, lift_messages, weyl_set
-from .linalg import complete_to_unitary, dagger, max_abs, rng_from, unitarity_defect
+from .linalg import complete_to_unitary, dagger, frozen, max_abs, rng_from, unitarity_defect
 from .serialize import SCHEMA, matrix_to_json, sig15, vector_to_json
 from .states import SchmidtSpectrum, local_action, make_schmidt_state
 
@@ -87,19 +85,13 @@ def default_messages(d: int) -> UnitaryMessageSet | None:
     return None
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ProtocolBundle:
+    """The validated construction for one spectrum; every array field is read-only."""
+
     spectrum: SchmidtSpectrum
     messages: UnitaryMessageSet
-    m: np.ndarray                     # completed square unitary of lifted columns
-    v: np.ndarray                     # penultimate column of m
-    w: np.ndarray                     # final column of m
+    m: np.ndarray                     # d^2 x d^2 completed unitary; columns -2, -1 give T, Y
     t: np.ndarray
     y: np.ndarray
     c: np.ndarray
@@ -110,7 +102,7 @@ class ProtocolBundle:
     p_y: float
     lifted: np.ndarray                # (d^2 - 2) x d^2: U_k applied to the shared state
     branches: np.ndarray              # 3 x d^2: T, Y and C applied to the shared state
-    dilation: DilationResult
+    dilation: np.ndarray              # 3d x 3d unitary dilating (T, Y, C) onto the ancilla
     seed: int
     defects: dict[str, float] = field(default_factory=dict)
 
@@ -144,7 +136,7 @@ def build_bundle(
         raise BundleError(f"need exactly d^2-2 = {d*d-2} messages, got {len(messages)}")
 
     psi = make_schmidt_state(spectrum)
-    lifted = _frozen(lift_messages(messages, psi))
+    lifted = frozen(lift_messages(messages, psi))
     cert = certify_lifted(lifted)
     if not cert.passed:
         raise BundleError(
@@ -159,14 +151,12 @@ def build_bundle(
     r = compute_R(spectrum)
     lam = np.asarray(spectrum.lambdas)
 
-    m = complete_to_unitary(lifted, seed)
-    v = m[:, -2].copy()
-    w = m[:, -1].copy()
+    m = frozen(complete_to_unitary(lifted, seed))
 
     # Column entries regrouped by Bob's index give the d x d matrices.
     coef = np.sqrt(lam[-1]) / (np.sqrt(lam) * np.sqrt(r[-1]))
-    t = v.reshape(d, d).T * coef[None, :]
-    y = w.reshape(d, d).T * coef[None, :]
+    t = m[:, -2].reshape(d, d).T * coef[None, :]
+    y = m[:, -1].reshape(d, d).T * coef[None, :]
 
     # C'C is the remainder, which must be a positive diagonal matrix; a
     # slightly negative diagonal entry counts as zero.
@@ -193,7 +183,7 @@ def build_bundle(
     overshoot = gamma - d * d * (lam - lam[-1]) / (2.0 * lam)
     defects["gamma_overestimate"] = max(0.0, float(np.max(overshoot)))
 
-    branches = _frozen(local_action(np.stack((t, y, c)), psi.coords))
+    branches = frozen(local_action(np.stack((t, y, c)), psi.coords))
     p_t, p_y, p_c = (float(np.linalg.norm(b) ** 2) for b in branches)
     p1 = float(np.sum(lam * gamma))
     expected_tail = float(lam[-1] / r[-1])
@@ -217,7 +207,7 @@ def build_bundle(
             raise BundleError(f"invariant {name} fails: defect {defects[name]:g} > {gate:g}", defects)
 
     dilation = dilation_unitary(QuantumChannel(d=d, kraus=(t, y, c)), seed)
-    defects["dilation_unitarity"] = unitarity_defect(dilation.u_tilde)
+    defects["dilation_unitarity"] = unitarity_defect(dilation)
     if defects["dilation_unitarity"] > tol.unitarity:
         raise BundleError("dilation unitarity fails", defects)
 
@@ -225,13 +215,11 @@ def build_bundle(
         spectrum=spectrum,
         messages=messages,
         m=m,
-        v=v,
-        w=w,
-        t=_frozen(t),
-        y=_frozen(y),
-        c=_frozen(c),
-        gamma=gamma,
-        r=r,
+        t=frozen(t),
+        y=frozen(y),
+        c=frozen(c),
+        gamma=frozen(gamma),
+        r=frozen(r),
         p1=p1,
         p_t=p_t,
         p_y=p_y,
@@ -301,9 +289,9 @@ def bounds_rows(d: int, lambda0s) -> list[dict[str, float]]:
 
 @dataclass(frozen=True, eq=False)
 class Decoder:
-    """Orthogonal projectors, one per message; the last is the rank-2 branch plane."""
+    """Read-only ``(n, d^2, d^2)`` stack of orthogonal projectors, one per message; the last has rank 2."""
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     @property
     def n_outcomes(self) -> int:
@@ -336,7 +324,7 @@ def build_decoder(bundle: ProtocolBundle) -> Decoder:
             raise BundleError(f"decoder projector {i} is not an orthogonal projector")
         j = np.flatnonzero(overlap[:, i])[0]
         raise BundleError(f"decoder projectors {j} and {i} are not orthogonal")
-    return Decoder(projectors=tuple(projs))
+    return Decoder(projectors=frozen(projs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,20 +363,24 @@ def _delivered(bundle: ProtocolBundle, index: int, variant: str) -> EncodedMessa
 
 
 def encode_message(
-    bundle: ProtocolBundle, index: int, variant: str, rng: np.random.Generator
+    bundle: ProtocolBundle, index: int, variant: str, rng: np.random.Generator | None
 ) -> EncodedMessage:
     """Encode message ``index``; the final index uses the dilated channel.
 
     With ancilla measurement, the outcome is sampled (abort probability p1)
     and the surviving two-branch superposition is renormalized; without it,
-    the full three-branch state is returned and no abort can happen.
+    the full three-branch state is returned and no abort can happen.  ``rng``
+    is read only to sample that abort, so it may be None on every other path.
     """
     variant = normalize_variant(variant)
     _check_message(bundle, index, "encode_message")
     measured = index == len(bundle.messages) and variant == VARIANT_MEASURE
-    if measured and bundle.p1 > 0.0 and float(rng.random()) < bundle.p1:
-        aborted = bundle.branches[2] / np.sqrt(bundle.p1)
-        return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
+    if measured and bundle.p1 > 0.0:
+        if rng is None:
+            raise ValueError("encode_message: the measured final message needs an rng to sample its abort")
+        if float(rng.random()) < bundle.p1:
+            aborted = bundle.branches[2] / np.sqrt(bundle.p1)
+            return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
     return _delivered(bundle, index, variant)
 
 
@@ -443,6 +435,8 @@ def simulate(
     explicit ``undetected`` bucket rather than being renormalized away.
     """
     variant = normalize_variant(variant)
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"simulate: trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("simulate: trials must be >= 1")
     _check_message(bundle, message, "simulate")
@@ -493,10 +487,10 @@ def bundle_to_json(bundle: ProtocolBundle) -> dict:
         "spectrum": spectrum_to_json(bundle.spectrum),
         "seed": bundle.seed,
         "tolerances": tolerances.get().as_dict(),
-        "messages": [matrix_to_json(u) for u in bundle.messages.unitaries],
+        "messages": matrix_to_json(bundle.messages.unitaries),
         "m": matrix_to_json(bundle.m),
-        "v": vector_to_json(bundle.v),
-        "w": vector_to_json(bundle.w),
+        "v": vector_to_json(bundle.m[:, -2]),
+        "w": vector_to_json(bundle.m[:, -1]),
         "t": matrix_to_json(bundle.t),
         "y": matrix_to_json(bundle.y),
         "c": matrix_to_json(bundle.c),
@@ -506,8 +500,8 @@ def bundle_to_json(bundle: ProtocolBundle) -> dict:
         "p_t": sig15(bundle.p_t),
         "p_y": sig15(bundle.p_y),
         "dilation": {
-            "ancilla_dim": bundle.dilation.ancilla_dim,
-            "u_tilde": matrix_to_json(bundle.dilation.u_tilde),
+            "ancilla_dim": len(bundle.branches),
+            "u_tilde": matrix_to_json(bundle.dilation),
         },
         "invariant_defects": {k: float(v) for k, v in sorted(bundle.defects.items())},
     }

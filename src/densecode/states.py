@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tolerances
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, frozen
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,9 @@ class BipartiteState:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = as_vector(self.coords).copy()  # frozen below; no alias of the caller's array
+        coords = frozen(as_vector(self.coords))
         if coords.size != self.d * self.d:
             raise ValueError("BipartiteState: coordinate count must be d*d")
-        coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
     @property

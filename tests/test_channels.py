@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from densecode import tolerances
 from densecode.channels import (
-    DilationResult,
     QuantumChannel,
     apply_kraus,
     containment_residuals,
@@ -69,25 +68,22 @@ def test_channel_rejects_supernormalized():
 def test_channel_freezes_copies_not_caller_arrays(dtype):
     k = np.eye(2, dtype=dtype)
     ch = QuantumChannel(d=2, kraus=(k,))
-    dil = DilationResult(u_tilde=k, ancilla_dim=1)
     assert k.flags.writeable
-    assert not ch.kraus[0].flags.writeable
-    assert not dil.u_tilde.flags.writeable
+    assert not ch.kraus.flags.writeable
     k[0, 0] = 0.0
     assert ch.kraus[0][0, 0] == 1.0
-    assert dil.u_tilde[0, 0] == 1.0
 
 
 def test_apply_identity_channel(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     rho = psi.density()
-    out = apply_kraus(QuantumChannel(d=2, kraus=(I2,)).stacked(), rho)
+    out = apply_kraus(QuantumChannel(d=2, kraus=(I2,)).kraus, rho)
     assert max_abs(out - rho) == 0.0
 
 
 def test_apply_single_shift_channel(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
-    out = apply_kraus(QuantumChannel(d=2, kraus=(X,)).stacked(), psi.density())
+    out = apply_kraus(QuantumChannel(d=2, kraus=(X,)).kraus, psi.density())
     shifted = apply_local(X, psi).coords
     assert max_abs(out - np.outer(shifted, shifted.conj())) < 1e-15
 
@@ -95,7 +91,7 @@ def test_apply_single_shift_channel(example_spectrum):
 def test_example_channel_branch_weights(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     ch = example_channel()
-    out = apply_kraus(ch.stacked(), psi.density())
+    out = apply_kraus(ch.kraus, psi.density())
     assert abs(np.trace(out).real - 1.0) < 1e-12
     weights = [apply_local(k, psi).norm() ** 2 for k in ch.kraus]
     assert abs(weights[0] - 79 / 162) < 1e-12
@@ -121,7 +117,7 @@ def test_apply_channel_matches_lifted_reference(d, n_kraus, seed, scale):
     tp = random_trace_preserving_kraus(d, n_kraus, [seed])[0]
     ch = QuantumChannel(d=d, kraus=tuple(scale * tp))
     rho = random_density(d * d, rng_from(seed))
-    out = apply_kraus(ch.stacked(), rho)
+    out = apply_kraus(ch.kraus, rho)
     assert max_abs(out - lifted_reference(ch, rho)) <= tolerances.get().equality
 
 
@@ -150,16 +146,16 @@ def test_trace_preservation_on_random_inputs():
 
 
 def test_kraus_rank_unitary():
-    assert kraus_ranks(QuantumChannel(d=2, kraus=(I2,)).stacked()) == 1
+    assert kraus_ranks(QuantumChannel(d=2, kraus=(I2,)).kraus) == 1
 
 
 def test_kraus_rank_dependent_pair():
     k = X / np.sqrt(5.0)
-    assert kraus_ranks(QuantumChannel(d=2, kraus=(k, 2.0 * k)).stacked()) == 1
+    assert kraus_ranks(QuantumChannel(d=2, kraus=(k, 2.0 * k)).kraus) == 1
 
 
 def test_kraus_rank_example_triple():
-    kraus = example_channel().stacked()
+    kraus = example_channel().kraus
     assert kraus_ranks(kraus) == 3
     # Gram-eigenvalue oracle agrees.
     flat = kraus.reshape(3, -1)
@@ -187,12 +183,12 @@ def test_lifted_states_random_full_rank():
     )
     ch = QuantumChannel(d=3, kraus=kraus)
     psi = make_schmidt_state(random_spectrum(3, rng))
-    assert lifted_rank(ch.stacked(), psi) == 3
+    assert lifted_rank(ch.kraus, psi) == 3
 
 
 def test_lifted_rank_tracks_kraus_rank_for_dependent_pair():
     k = X / np.sqrt(5.0)
-    kraus = QuantumChannel(d=2, kraus=(k, 2.0 * k)).stacked()
+    kraus = QuantumChannel(d=2, kraus=(k, 2.0 * k)).kraus
     psi = make_schmidt_state(SchmidtSpectrum.from_values([0.6, 0.4]))
     assert lifted_rank(kraus, psi) == kraus_ranks(kraus) == 1
 
@@ -201,7 +197,7 @@ def test_lifted_states_reject_zero_coefficient():
     coords = np.zeros(4, dtype=complex)
     coords[0] = 1.0  # second Schmidt amplitude vanishes
     with pytest.raises(ValueError, match="lifted_kraus: zero Schmidt coefficient"):
-        lifted_kraus(QuantumChannel(d=2, kraus=(I2,)).stacked(), coords)
+        lifted_kraus(QuantumChannel(d=2, kraus=(I2,)).kraus, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +207,7 @@ def test_lifted_states_reject_zero_coefficient():
 def test_dilation_of_unitary_channel_is_itself():
     u = random_unitaries(3, [14])[0]
     dil = dilation_unitary(QuantumChannel(d=3, kraus=(u,)), seed=2)
-    assert dil.ancilla_dim == 1
-    assert max_abs(dil.u_tilde - u) == 0.0
+    assert max_abs(dil - u) == 0.0
 
 
 def dilation_loop_reference(channel, seed):
@@ -251,10 +246,10 @@ def dilated_state_reference(channel, psi):
 def test_dilation_matches_loop_reference():
     for d, n in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2)):
         ch = random_channel(d, n, 20 + d * n)
-        got = dilation_unitary(ch, seed=d * n).u_tilde
+        got = dilation_unitary(ch, seed=d * n)
         assert np.array_equal(got, dilation_loop_reference(ch, d * n))
     triple = example_channel()
-    assert np.array_equal(dilation_unitary(triple, seed=6).u_tilde, dilation_loop_reference(triple, 6))
+    assert np.array_equal(dilation_unitary(triple, seed=6), dilation_loop_reference(triple, 6))
 
 
 def test_dilation_unitaries_of_a_mixed_seed_stack_match_the_per_channel_loop():
@@ -266,7 +261,7 @@ def test_dilation_unitaries_of_a_mixed_seed_stack_match_the_per_channel_loop():
         for k, seed, u in zip(kraus, seeds, stacked, strict=True):
             channel = QuantumChannel(d=d, kraus=tuple(k))
             assert np.array_equal(u, dilation_loop_reference(channel, seed))
-            assert np.array_equal(u, dilation_unitary(channel, seed).u_tilde)
+            assert np.array_equal(u, dilation_unitary(channel, seed))
 
 
 def test_dilation_requires_trace_preserving():
@@ -278,17 +273,17 @@ def test_dilation_reproduces_branch_superposition(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     ch = example_channel()
     dil = dilation_unitary(ch, seed=6)
-    assert dil.u_tilde.shape == (6, 6)
-    assert unitarity_defect(dil.u_tilde) < 1e-10
-    assert max_abs(dilate(dil.u_tilde, psi.coords) - dilated_state_reference(ch, psi)) < 1e-12
+    assert dil.shape == (6, 6)
+    assert unitarity_defect(dil) < 1e-10
+    assert max_abs(dilate(dil, psi.coords) - dilated_state_reference(ch, psi)) < 1e-12
 
 
 def test_dilation_matches_operator_sum(example_spectrum):
     psi = make_schmidt_state(example_spectrum)
     ch = example_channel()
     dil = dilation_unitary(ch, seed=6)
-    reduced = trace_out_ancilla_state(dilate(dil.u_tilde, psi.coords), dil.ancilla_dim)
-    assert max_abs(reduced - apply_kraus(ch.stacked(), psi.density())) < 1e-12
+    reduced = trace_out_ancilla_state(dilate(dil, psi.coords), len(ch.kraus))
+    assert max_abs(reduced - apply_kraus(ch.kraus, psi.density())) < 1e-12
 
 
 # One channel draw: dimension, Kraus count, channel and completion seeds, and
@@ -315,8 +310,8 @@ def test_dilation_then_trace_is_channel_property(d, n_kraus, channel_seed, dilat
     psi = make_schmidt_state(spectrum_from_weights(weights, d))
     ch = random_channel(d, n_kraus, channel_seed)
     dil = dilation_unitary(ch, seed=dilation_seed)
-    reduced = trace_out_ancilla_state(dilate(dil.u_tilde, psi.coords), dil.ancilla_dim)
-    assert max_abs(reduced - apply_kraus(ch.stacked(), psi.density())) <= tolerances.get().equality
+    reduced = trace_out_ancilla_state(dilate(dil, psi.coords), len(ch.kraus))
+    assert max_abs(reduced - apply_kraus(ch.kraus, psi.density())) <= tolerances.get().equality
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -334,7 +329,7 @@ def test_dilation_basis_action():
     ch = random_channel(2, 3, 15)
     dil = dilation_unitary(ch, seed=3)
     for i in range(2):
-        col = dil.u_tilde[:, i * 3]
+        col = dil[:, i * 3]
         expected = np.zeros(6, dtype=complex)
         for r, k in enumerate(ch.kraus):
             expected[0 * 3 + r] = k[0, i]
@@ -397,7 +392,7 @@ def test_unitary_mixing_leaves_channel_invariant():
     k0, k1 = kraus
     mixed = QuantumChannel(
         d=3, kraus=(v[0, 0] * k0 + v[0, 1] * k1, v[1, 0] * k0 + v[1, 1] * k1)
-    ).stacked()
+    ).kraus
     for _ in range(3):
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = g @ g.conj().T
@@ -412,7 +407,7 @@ def test_unitary_mixing_leaves_channel_invariant():
 def containment(channel, psi, measurement, seed):
     """Outcome probabilities and residuals of one channel: ``containment_residuals`` of a one-item stack."""
     prob, residual = containment_residuals(
-        channel.stacked()[None], psi.coords[None], np.stack(measurement)[None], [seed]
+        channel.kraus[None], psi.coords[None], np.stack(measurement)[None], [seed]
     )
     return prob[0], residual[0]
 
@@ -517,9 +512,9 @@ def test_stacked_channel_kernels_are_one_by_one():
     prob, residual = containment_residuals(kraus, coords, measurements, [7, 8, 9])
     for i, seed in enumerate(seeds):
         ch = random_channel(2, 3, seed)
-        assert np.array_equal(ch.stacked(), kraus[i])
+        assert np.array_equal(ch.kraus, kraus[i])
         assert np.array_equal(out[i], apply_kraus(kraus[i], rho[i]))
-        assert np.array_equal(u[i], dilation_unitary(ch, 7 + i).u_tilde)
+        assert np.array_equal(u[i], dilation_unitary(ch, 7 + i))
         psi = BipartiteState(d=2, coords=coords[i])
         one_prob, one_residual = containment(ch, psi, measurements[i], 7 + i)
         assert list(one_prob) == list(prob[i])

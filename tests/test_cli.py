@@ -289,6 +289,24 @@ def test_malformed_messages_file_is_an_error_document(capsys, tmp_path):
     assert "field 'unitaries'" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "unitaries, message",
+    [
+        # A 2x2 identity, then a 1x1 matrix: ragged, so no (count, d, d) stack.
+        ([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]], "UnitaryMessageSet: operator shape does not match d"),
+        ([], "need exactly d^2-2 = 2 messages, got 0"),
+    ],
+)
+def test_ragged_or_empty_messages_file_is_an_error_document(capsys, tmp_path, unitaries, message):
+    path = tmp_path / "msgs.json"
+    path.write_text(json.dumps({"kind": "message-set", "d": 2, "unitaries": unitaries}))
+    code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.4", "--messages", str(path))
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert (doc["schema"], doc["kind"], doc["error"]) == ("densecode/1", "error", message)
+
+
 def test_spectrum_sum_error_names_a_plain_float(capsys):
     code, out, err = run(capsys, "bundle", "--spectrum", "0.6,0.5")
     assert code == 1

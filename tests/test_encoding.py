@@ -11,6 +11,7 @@ from densecode.encoding import (
     gram_mass_gradient,
     gram_mass_objective,
     hermitian_from_params,
+    lift_messages,
     message_set_from_json,
     message_set_to_json,
     search_message_set,
@@ -45,6 +46,13 @@ def test_message_set_freezes_copies_not_caller_arrays(dtype):
     assert not msgs.unitaries[0].flags.writeable
     u[0, 0] = -1.0
     assert msgs.unitaries[0][0, 0] == 1.0
+
+
+def test_lift_messages_names_itself_and_both_dimensions(example_spectrum):
+    psi = make_schmidt_state(example_spectrum)
+    with pytest.raises(ValueError) as err:
+        lift_messages(weyl_set(3), psi)
+    assert str(err.value) == "lift_messages: dimension mismatch (message set d=3, state d=2)"
 
 
 def test_certify_identity_shift_pair(example_spectrum):

@@ -13,7 +13,6 @@ EXPORTS = {
     "BipartiteState",
     "BundleError",
     "Decoder",
-    "DilationResult",
     "DistinguishabilityCertificate",
     "ImpossibilityReport",
     "OrthogonalizationResult",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from densecode import protocol, tolerances
-from densecode.channels import dilate
+from densecode.channels import dilate, dilation_unitary
 from densecode.encoding import UnitaryMessageSet, certify_distinguishable, search_message_set, weyl_set
 from densecode.linalg import max_abs, random_unitaries, rng_from
 from densecode.protocol import (
@@ -110,9 +110,22 @@ def test_bundle_names_certified_set_below_unitarity_gate(example_spectrum):
     assert err.value.defects == {"certificate": cert.gram_defect}
 
 
-def test_bundle_kraus_arrays_are_read_only(example_bundle):
-    for a in (example_bundle.t, example_bundle.y, example_bundle.c, example_bundle.lifted):
-        assert not a.flags.writeable
+def test_bundle_kraus_arrays_are_read_only(example_bundle, example_decoder):
+    # A write to a bundle or decoder array would change later decodes or the
+    # emitted JSON; each must raise instead.
+    b = example_bundle
+    arrays = {
+        "m": b.m, "t": b.t, "y": b.y, "c": b.c, "gamma": b.gamma, "r": b.r,
+        "lifted": b.lifted, "branches": b.branches, "dilation": b.dilation,
+        "projectors": example_decoder.projectors,
+        "dilation_unitary": dilation_unitary(b.channel(), seed=SEED),
+    }
+    held = {f.name for f in dataclasses.fields(b) if isinstance(getattr(b, f.name), np.ndarray)}
+    assert held == arrays.keys() - {"projectors", "dilation_unitary"}
+    for a in arrays.values():
+        corner = (0,) * a.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            a[corner] = a[corner]  # the same value: a failure leaves the shared fixtures intact
 
 
 def test_bundle_lifts_are_exact_products(example_spectrum, example_bundle):
@@ -137,9 +150,8 @@ def test_bundle_lifts_are_exact_products(example_spectrum, example_bundle):
 
 def test_bundle_branch_plane_matches_example(example_bundle):
     # The added-column plane is completion-invariant and matches the example.
-    ours = np.outer(example_bundle.v, example_bundle.v.conj()) + np.outer(
-        example_bundle.w, example_bundle.w.conj()
-    )
+    added = example_bundle.m[:, 2:]
+    ours = added @ added.conj().T
     reference = EXAMPLE_M[:, 2:] @ EXAMPLE_M[:, 2:].conj().T
     assert max_abs(ours - reference) < 1e-10
 
@@ -340,6 +352,18 @@ def test_encode_abort_state_is_00(example_bundle):
     assert max_abs(aborted.state - e00) < 1e-12
 
 
+def test_encode_needs_an_rng_only_to_sample_an_abort(example_bundle):
+    with pytest.raises(ValueError, match="encode_message: the measured final message needs an rng"):
+        encode_message(example_bundle, 2, VARIANT_MEASURE, None)
+    # No other path samples anything: not the unitary messages, not the
+    # unmeasured final message, and not a final message that cannot abort.
+    assert not encode_message(example_bundle, 0, VARIANT_MEASURE, None).aborted
+    assert not encode_message(example_bundle, 2, VARIANT_NO_MEASURE, None).aborted
+    uniform = build_bundle(uniform_spectrum(2), default_messages(2), seed=SEED)
+    assert uniform.p1 == 0.0
+    assert encode_message(uniform, 2, VARIANT_MEASURE, None).ancilla_outcome == 0
+
+
 def test_encode_no_measure_never_aborts(example_bundle):
     for t in range(20):
         enc = encode_message(example_bundle, 2, VARIANT_NO_MEASURE, rng_from(10, t))
@@ -386,6 +410,16 @@ def test_simulate_deterministic_given_seed(example_bundle, example_decoder):
 def test_simulate_rejects_bad_message(example_bundle, example_decoder):
     with pytest.raises(ValueError, match="out of range"):
         simulate(example_bundle, example_decoder, 3, 10, VARIANT_MEASURE, seed=1)
+
+
+@pytest.mark.parametrize("trials", [10.5, 10.0, True, "10", None])
+def test_simulate_refuses_non_integer_trials(example_bundle, example_decoder, trials):
+    with pytest.raises(ValueError, match="simulate: trials must be an integer"):
+        simulate(example_bundle, example_decoder, 2, trials, VARIANT_MEASURE, seed=1)
+    numpy_int = simulate(example_bundle, example_decoder, 2, np.int64(10), VARIANT_MEASURE, seed=1)
+    assert numpy_int.outcome_histogram == simulate(
+        example_bundle, example_decoder, 2, 10, VARIANT_MEASURE, seed=1
+    ).outcome_histogram
 
 
 @pytest.mark.parametrize("trials", [1, SIM_CHUNK - 1, SIM_CHUNK, SIM_CHUNK + 1, 3 * SIM_CHUNK])
@@ -518,7 +552,7 @@ def test_bundle_states_property(lam0):
     eq = tolerances.get().equality
     assert max_abs(sum(decoder.projectors) - np.eye(4)) <= eq
     final = encode_message(bundle, 2, VARIANT_NO_MEASURE, None)
-    dilated = dilate(bundle.dilation.u_tilde, make_schmidt_state(spectrum).coords)
+    dilated = dilate(bundle.dilation, make_schmidt_state(spectrum).coords)
     assert max_abs(final.state - dilated) <= eq
     for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
         for index in range(bundle.n_messages):
@@ -580,3 +614,22 @@ def test_report_json_histogram_total(example_bundle, example_decoder):
     rep = simulate(example_bundle, example_decoder, 2, 200, VARIANT_MEASURE, seed=6)
     doc = report_to_json(rep)
     assert sum(doc["outcome_histogram"].values()) == 200
+
+
+def test_d5_bundle_from_searched_set():
+    # The one searched point at d >= 5: 23 messages at a near-uniform spectrum.
+    s = SchmidtSpectrum.from_values([0.205, 0.2025, 0.2, 0.1975, 0.195])
+    messages = search_message_set(s, 23, seed=2, max_iters=1)
+    assert messages is not None
+    bundle = build_bundle(s, messages, seed=SEED)
+    eq = tolerances.get().equality
+    assert abs(bundle.p1 - (1.0 - 2.0 * s.lambdas[-1] / compute_R(s)[-1])) <= eq
+
+    decoder = build_decoder(bundle)
+    assert decoder.projectors.shape == (24, 25, 25)
+    assert max_abs(decoder.projectors.sum(axis=0) - np.eye(25)) <= eq
+    arrays = [getattr(bundle, f.name) for f in dataclasses.fields(bundle)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 9
+    for a in (*arrays, messages.unitaries, decoder.projectors):
+        assert not a.flags.writeable

@@ -60,11 +60,10 @@ def dilation_loop(seed, configs=50):
         spectrum = loop_spectrum(d, rng)
         seen.append((d, n_kraus, spectrum.lambdas))
         psi = make_schmidt_state(spectrum)
-        dil = dilation_unitary(channel, seed + 2000 + k)
-        m = dil.u_tilde
+        m = dilation_unitary(channel, seed + 2000 + k)
         unitarity = max(unitarity, max_abs(m.conj().T @ m - np.eye(m.shape[0])))
-        reduced = trace_out_ancilla_state(dilate(m, psi.coords), dil.ancilla_dim)
-        direct = apply_kraus(channel.stacked(), psi.density())
+        reduced = trace_out_ancilla_state(dilate(m, psi.coords), n_kraus)
+        direct = apply_kraus(channel.kraus, psi.density())
         agreement = max(agreement, max_abs(reduced - direct))
     return seen, {"dilation-unitarity": unitarity, "partial-trace-agreement": agreement}
 
@@ -78,12 +77,12 @@ def orthogonalize_loop(seed, configs=100):
         spectrum = loop_spectrum(d, rng)
         seen.append((d, 2, spectrum.lambdas))
         psi = make_schmidt_state(spectrum)
-        result, mixed = orthogonalize_kraus_pairs(channel.stacked()[None], psi.coords[None])
+        result, mixed = orthogonalize_kraus_pairs(channel.kraus[None], psi.coords[None])
         r0, r1 = mixed[0]
         overlap = max(overlap, abs(np.vdot(apply_local(r0, psi).coords, apply_local(r1, psi).coords)))
         rho = loop_density(d * d, rng)
         after = apply_kraus(mixed[0], rho)
-        action = max(action, max_abs(apply_kraus(channel.stacked(), rho) - after))
+        action = max(action, max_abs(apply_kraus(channel.kraus, rho) - after))
         residual = max(residual, float(result.residual[0]))
     return seen, {
         "lifted-overlap": overlap,
@@ -101,13 +100,13 @@ def independence_loop(seed, configs=100):
         kraus = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(size)]
         top = hermitian_eigensystem(sum(m.conj().T @ m for m in kraus))[0][0]
         channel = QuantumChannel(d=d, kraus=tuple(0.9 / np.sqrt(top) * m for m in kraus))
-        if kraus_ranks(channel.stacked()) != size:
+        if kraus_ranks(channel.kraus) != size:
             seen.append((d, size, None))
             mismatches += 1
             continue
         spectrum = loop_spectrum(d, rng)
         seen.append((d, size, spectrum.lambdas))
-        lifted = lifted_kraus(channel.stacked(), make_schmidt_state(spectrum).coords)
+        lifted = lifted_kraus(channel.kraus, make_schmidt_state(spectrum).coords)
         if numerical_ranks(lifted) != size:
             mismatches += 1
     return seen, {"lifted-gram-rank-mismatches": float(mismatches)}
@@ -124,7 +123,7 @@ def containment_loop(seed, configs=50):
         measurement = random_trace_preserving_kraus(3, n_outcomes, [seed + 5000 + k])
         psi = make_schmidt_state(spectrum)
         _, residual = containment_residuals(
-            channel.stacked()[None], psi.coords[None], measurement, [seed + 6000 + k]
+            channel.kraus[None], psi.coords[None], measurement, [seed + 6000 + k]
         )
         worst = max(worst, float(residual.max()))
     return seen, {"containment-residual": worst}
