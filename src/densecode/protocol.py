@@ -19,6 +19,7 @@ it raises instead of changing later decodes or the emitted JSON.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import tolerances
 from .channels import QuantumChannel, dilation_unitary, trace_out_ancilla_state
 from .encoding import UnitaryMessageSet, certify_lifted, lift_messages, weyl_set
 from .linalg import complete_to_unitary, dagger, frozen, max_abs, rng_from, unitarity_defect
-from .serialize import SCHEMA, matrix_to_json, sig15, vector_to_json
+from .serialize import SCHEMA, matrix_to_json, sig15
 from .states import SchmidtSpectrum, local_action, make_schmidt_state
 
 VARIANT_MEASURE = "with-ancilla-measurement"
@@ -390,8 +391,7 @@ def bob_distribution(decoder: Decoder, encoded: EncodedMessage) -> np.ndarray:
         rho = np.outer(encoded.state, encoded.state.conj())
     else:
         rho = trace_out_ancilla_state(encoded.state, encoded.ancilla_dim)
-    probs = np.array([float(np.trace(p @ rho).real) for p in decoder.projectors])
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(np.trace(decoder.projectors @ rho, axis1=-2, axis2=-1).real, 0.0, None)
     residual = max(0.0, 1.0 - float(probs.sum()))
     return np.append(probs, residual)
 
@@ -437,6 +437,8 @@ def simulate(
     variant = normalize_variant(variant)
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
         raise ValueError(f"simulate: trials must be an integer, got {trials!r}")
+    # numpy integers become ints, which the report's JSON document can print
+    trials, message, seed = operator.index(trials), operator.index(message), operator.index(seed)
     if trials < 1:
         raise ValueError("simulate: trials must be >= 1")
     _check_message(bundle, message, "simulate")
@@ -489,8 +491,8 @@ def bundle_to_json(bundle: ProtocolBundle) -> dict:
         "tolerances": tolerances.get().as_dict(),
         "messages": matrix_to_json(bundle.messages.unitaries),
         "m": matrix_to_json(bundle.m),
-        "v": vector_to_json(bundle.m[:, -2]),
-        "w": vector_to_json(bundle.m[:, -1]),
+        "v": matrix_to_json(bundle.m[:, -2]),
+        "w": matrix_to_json(bundle.m[:, -1]),
         "t": matrix_to_json(bundle.t),
         "y": matrix_to_json(bundle.y),
         "c": matrix_to_json(bundle.c),

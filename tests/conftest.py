@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densecode import tolerances
-from densecode.channels import QuantumChannel, random_trace_preserving_kraus
+from densecode.channels import QuantumChannel, random_trace_preserving_kraus, trace_out_ancilla_state
 from densecode.linalg import as_matrix, rng_from
 from densecode.protocol import build_bundle, build_decoder, default_messages
 from densecode.states import SchmidtSpectrum, parse_spectrum
@@ -72,6 +72,18 @@ def complete_to_unitary_loop(
             continue
         basis.append(v / norm)
     return np.column_stack(basis)
+
+
+def bob_distribution_loop(decoder, encoded) -> np.ndarray:
+    """Per-projector reference for ``protocol.bob_distribution``: one trace per projector."""
+    if encoded.ancilla_dim == 1:
+        rho = np.outer(encoded.state, encoded.state.conj())
+    else:
+        rho = trace_out_ancilla_state(encoded.state, encoded.ancilla_dim)
+    probs = np.array([float(np.trace(p @ rho).real) for p in decoder.projectors])
+    probs = np.clip(probs, 0.0, None)
+    residual = max(0.0, 1.0 - float(probs.sum()))
+    return np.append(probs, residual)
 
 
 def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:

@@ -33,7 +33,7 @@ from densecode.protocol import (
 from densecode.serialize import dumps
 from densecode.states import SchmidtSpectrum, make_schmidt_state, uniform_spectrum
 
-from conftest import EXAMPLE_M, SEED
+from conftest import EXAMPLE_M, SEED, bob_distribution_loop, random_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +389,43 @@ def test_no_measure_distribution(example_bundle, example_decoder):
     assert dist[3] < 1e-12  # undetected mass
 
 
+def _bundle_seeds_cases(spectrum, messages):
+    """Every message's delivered state and the abort state, both variants, for five bundle seeds."""
+    for seed in range(5):
+        bundle = build_bundle(spectrum, messages, seed=seed)
+        decoder = build_decoder(bundle)
+        for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
+            for message in range(bundle.n_messages):
+                yield decoder, _delivered(bundle, message, variant)
+        if bundle.p1 > 0.0:
+            aborted = bundle.branches[2] / np.sqrt(bundle.p1)
+            yield decoder, protocol.EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
+
+
+@pytest.mark.parametrize(
+    "values, count, search_seed",
+    [
+        (None, 2, None),
+        ([0.35, 0.33, 0.32], 7, 3),
+        ([0.38, 0.32, 0.30], 7, 1),
+        ([0.28, 0.26, 0.24, 0.22], 14, 1),
+    ],
+)
+def test_bob_distribution_matches_projector_loop(values, count, search_seed):
+    # The stacked trace is bit for bit the per-projector loop; None draws 30 random d = 2 spectra.
+    if values is None:
+        rng = rng_from(29)
+        sets = [(random_spectrum(2, rng), default_messages(2)) for _ in range(30)]
+    else:
+        s = SchmidtSpectrum.from_values(values)
+        messages = search_message_set(s, count, seed=search_seed, max_iters=1)
+        assert messages is not None
+        sets = [(s, messages)]
+    for spectrum, messages in sets:
+        for decoder, encoded in _bundle_seeds_cases(spectrum, messages):
+            assert np.array_equal(bob_distribution(decoder, encoded), bob_distribution_loop(decoder, encoded))
+
+
 def test_simulate_pure_message(example_bundle, example_decoder):
     rep = simulate(example_bundle, example_decoder, 0, 1000, VARIANT_MEASURE, seed=5)
     assert rep.outcome_histogram["0"] == 1000
@@ -614,6 +651,14 @@ def test_report_json_histogram_total(example_bundle, example_decoder):
     rep = simulate(example_bundle, example_decoder, 2, 200, VARIANT_MEASURE, seed=6)
     doc = report_to_json(rep)
     assert sum(doc["outcome_histogram"].values()) == 200
+
+
+def test_report_json_of_numpy_integer_arguments(example_bundle, example_decoder):
+    # numpy integers for trials, message and seed give the report of Python ints, byte for byte.
+    typed = simulate(example_bundle, example_decoder, np.int32(2), np.int64(10), "measure", np.uint64(5))
+    plain = simulate(example_bundle, example_decoder, 2, 10, "measure", 5)
+    assert dumps(report_to_json(typed)) == dumps(report_to_json(plain))
+    assert all(type(v) is int for v in (typed.trials, typed.message_sent, typed.seed))
 
 
 def test_d5_bundle_from_searched_set():
