@@ -341,7 +341,6 @@ class EncodedMessage:
     state: np.ndarray
     ancilla_dim: int
     aborted: bool
-    ancilla_outcome: int | None
 
 
 def _check_message(bundle: ProtocolBundle, index: int, caller: str) -> None:
@@ -353,14 +352,14 @@ def _check_message(bundle: ProtocolBundle, index: int, caller: str) -> None:
 def _delivered(bundle: ProtocolBundle, index: int, variant: str) -> EncodedMessage:
     """The encoded state of message ``index`` when the encoding does not abort."""
     if index < len(bundle.messages):
-        return EncodedMessage(state=bundle.lifted[index], ancilla_dim=1, aborted=False, ancilla_outcome=None)
+        return EncodedMessage(state=bundle.lifted[index], ancilla_dim=1, aborted=False)
     # Branch rows transposed give joint x ancilla coordinates, ancilla index fastest.
     if variant == VARIANT_NO_MEASURE:
-        return EncodedMessage(state=bundle.branches.T.reshape(-1), ancilla_dim=3, aborted=False, ancilla_outcome=None)
+        return EncodedMessage(state=bundle.branches.T.reshape(-1), ancilla_dim=3, aborted=False)
     survived = np.zeros_like(bundle.branches)
     if bundle.p1 < 1.0:
         survived[:2] = bundle.branches[:2] / np.sqrt(1.0 - bundle.p1)
-    return EncodedMessage(state=survived.T.reshape(-1), ancilla_dim=3, aborted=False, ancilla_outcome=0)
+    return EncodedMessage(state=survived.T.reshape(-1), ancilla_dim=3, aborted=False)
 
 
 def encode_message(
@@ -381,7 +380,7 @@ def encode_message(
             raise ValueError("encode_message: the measured final message needs an rng to sample its abort")
         if float(rng.random()) < bundle.p1:
             aborted = bundle.branches[2] / np.sqrt(bundle.p1)
-            return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
+            return EncodedMessage(state=aborted, ancilla_dim=1, aborted=True)
     return _delivered(bundle, index, variant)
 
 
@@ -426,11 +425,18 @@ def simulate(
     Trials run in chunks of ``SIM_CHUNK``; chunk ``k`` draws from the derived
     stream ``rng_from(seed, k)``.  Each trial takes one uniform, inverted
     through the cumulative receiver distribution, and the measured final
-    message takes a second one per trial for its ancilla abort (probability
-    p1).  A chunk counts its uniforms under each cumulative threshold, aborts
-    pushed past them all, for that inversion's histogram without a per-trial
-    code (one multinomial per chunk is faster but changes every seed's).
-    A seed therefore fixes the histogram whatever order the chunks run in.
+    message with p1 > 0 takes a second one per trial, after them, for its
+    ancilla abort.  A chunk counts its uniforms under each cumulative
+    threshold, aborts pushed past them all, for that inversion's histogram
+    without a per-trial code (one multinomial per chunk is faster but changes
+    every seed's).  A seed therefore fixes the histogram whatever order the
+    chunks run in.  A uniform lies in [0, 1), so a threshold <= 0 has none
+    below it and one >= 1 every kept one: only the other thresholds (NaN
+    included, with none below) are counted from the draws.  At p1 == 0 an
+    abort draw would abort nothing.  So a message with nothing to count and
+    no abort to sample, such as a perfectly distinguishable unitary one,
+    builds no stream, and each histogram is the one that drawing and
+    counting everything gives.
     Residual probability mass outside the decoder projectors lands in an
     explicit ``undetected`` bucket rather than being renormalized away.
     """
@@ -442,21 +448,26 @@ def simulate(
     if trials < 1:
         raise ValueError("simulate: trials must be >= 1")
     _check_message(bundle, message, "simulate")
-    measured = message == len(bundle.messages) and variant == VARIANT_MEASURE
+    sample_abort = message == len(bundle.messages) and variant == VARIANT_MEASURE and bundle.p1 > 0.0
     cum = np.cumsum(bob_distribution(decoder, _delivered(bundle, message, variant)))
 
-    thresholds = cum[: decoder.n_outcomes]
-    below = [0] * len(thresholds)
+    thresholds = cum[: decoder.n_outcomes].tolist()
+    counted = [j for j, c in enumerate(thresholds) if not (c <= 0.0 or c >= 1.0)]
+    tally = dict.fromkeys(counted, 0)
     aborted = 0
-    for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
-        n = min(SIM_CHUNK, trials - start)
-        rng = rng_from(seed, chunk)
-        u = rng.random(n)
-        if measured:
-            abort = rng.random(n) < bundle.p1
-            aborted += np.count_nonzero(abort)
-            u[abort] = np.inf
-        below = [b + np.count_nonzero(u < c) for b, c in zip(below, thresholds)]
+    if counted or sample_abort:
+        for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
+            n = min(SIM_CHUNK, trials - start)
+            rng = rng_from(seed, chunk)
+            u = rng.random(n)
+            if sample_abort:
+                abort = rng.random(n) < bundle.p1
+                aborted += np.count_nonzero(abort)
+                u[abort] = np.inf
+            for j in counted:
+                tally[j] += np.count_nonzero(u < thresholds[j])
+    kept = trials - aborted
+    below = [tally.get(j, kept if c >= 1.0 else 0) for j, c in enumerate(thresholds)]
 
     counts = {str(j): int(hi - lo) for j, (lo, hi) in enumerate(zip([0, *below], below))}
     counts["aborted"] = int(aborted)

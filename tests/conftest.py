@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from densecode import tolerances
+from densecode import protocol, tolerances
 from densecode.channels import QuantumChannel, random_trace_preserving_kraus, trace_out_ancilla_state
 from densecode.linalg import as_matrix, rng_from
-from densecode.protocol import build_bundle, build_decoder, default_messages
+from densecode.protocol import (
+    SIM_CHUNK,
+    VARIANT_MEASURE,
+    build_bundle,
+    build_decoder,
+    default_messages,
+    normalize_variant,
+)
 from densecode.states import SchmidtSpectrum, parse_spectrum
 from densecode.suites import spectrum_values
 
@@ -84,6 +91,36 @@ def bob_distribution_loop(decoder, encoded) -> np.ndarray:
     probs = np.clip(probs, 0.0, None)
     residual = max(0.0, 1.0 - float(probs.sum()))
     return np.append(probs, residual)
+
+
+def simulate_counting_loop(bundle, decoder, message, trials, variant, seed) -> dict[str, int]:
+    """Histogram of ``protocol.simulate`` with every chunk drawn and every threshold counted.
+
+    The chunked loop ``simulate`` must match count for count: chunk ``k``
+    draws its trial uniforms from ``rng_from(seed, k)``, then, for the
+    measured final message, one abort uniform per trial whatever p1 is;
+    aborted trials are pushed past every threshold, and each outcome's count
+    is the difference of the counts under consecutive cumulative thresholds.
+    """
+    variant = normalize_variant(variant)
+    measured = message == len(bundle.messages) and variant == VARIANT_MEASURE
+    cum = np.cumsum(protocol.bob_distribution(decoder, protocol._delivered(bundle, message, variant)))
+    thresholds = cum[: decoder.n_outcomes]
+    below = [0] * len(thresholds)
+    aborted = 0
+    for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
+        n = min(SIM_CHUNK, trials - start)
+        rng = rng_from(seed, chunk)
+        u = rng.random(n)
+        if measured:
+            abort = rng.random(n) < bundle.p1
+            aborted += np.count_nonzero(abort)
+            u[abort] = np.inf
+        below = [b + np.count_nonzero(u < c) for b, c in zip(below, thresholds)]
+    counts = {str(j): int(hi - lo) for j, (lo, hi) in enumerate(zip([0, *below], below))}
+    counts["aborted"] = int(aborted)
+    counts["undetected"] = int(trials - aborted - below[-1])
+    return counts
 
 
 def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:

@@ -81,16 +81,20 @@ def test_simulate_csv(capsys):
 
 
 @pytest.mark.parametrize(
-    "variant, histogram",
+    "message, variant, histogram",
     [
-        ("measure", {"0": 0, "1": 0, "2": 97512, "aborted": 2488, "undetected": 0}),
-        ("no-measure", {"0": 1211, "1": 0, "2": 98789, "aborted": 0, "undetected": 0}),
+        ("2", "measure", {"0": 0, "1": 0, "2": 97512, "aborted": 2488, "undetected": 0}),
+        ("2", "no-measure", {"0": 1211, "1": 0, "2": 98789, "aborted": 0, "undetected": 0}),
+        ("0", "measure", {"0": 100000, "1": 0, "2": 0, "aborted": 0, "undetected": 0}),
+        ("0", "no-measure", {"0": 100000, "1": 0, "2": 0, "aborted": 0, "undetected": 0}),
+        ("1", "measure", {"0": 0, "1": 100000, "2": 0, "aborted": 0, "undetected": 0}),
+        ("1", "no-measure", {"0": 0, "1": 100000, "2": 0, "aborted": 0, "undetected": 0}),
     ],
 )
-def test_simulate_seed_to_histogram_golden(capsys, variant, histogram):
+def test_simulate_seed_to_histogram_golden(capsys, message, variant, histogram):
     # Pins the seed -> histogram contract: a new sampler must give these bytes.
     code, out, _ = run(
-        capsys, "simulate", "--message", "2", "--trials", "100000", "--seed", "12345",
+        capsys, "simulate", "--message", message, "--trials", "100000", "--seed", "12345",
         "--variant", variant,
     )
     assert code == 0

@@ -33,7 +33,7 @@ from densecode.protocol import (
 from densecode.serialize import dumps
 from densecode.states import SchmidtSpectrum, make_schmidt_state, uniform_spectrum
 
-from conftest import EXAMPLE_M, SEED, bob_distribution_loop, random_spectrum
+from conftest import EXAMPLE_M, SEED, bob_distribution_loop, random_spectrum, simulate_counting_loop
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +346,7 @@ def test_encode_abort_state_is_00(example_bundle):
             aborted = enc
             break
     assert aborted is not None
-    assert aborted.ancilla_outcome == 1
+    assert aborted.aborted and aborted.ancilla_dim == 1
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1.0
     assert max_abs(aborted.state - e00) < 1e-12
@@ -361,7 +361,7 @@ def test_encode_needs_an_rng_only_to_sample_an_abort(example_bundle):
     assert not encode_message(example_bundle, 2, VARIANT_NO_MEASURE, None).aborted
     uniform = build_bundle(uniform_spectrum(2), default_messages(2), seed=SEED)
     assert uniform.p1 == 0.0
-    assert encode_message(uniform, 2, VARIANT_MEASURE, None).ancilla_outcome == 0
+    assert not encode_message(uniform, 2, VARIANT_MEASURE, None).aborted
 
 
 def test_encode_no_measure_never_aborts(example_bundle):
@@ -399,7 +399,7 @@ def _bundle_seeds_cases(spectrum, messages):
                 yield decoder, _delivered(bundle, message, variant)
         if bundle.p1 > 0.0:
             aborted = bundle.branches[2] / np.sqrt(bundle.p1)
-            yield decoder, protocol.EncodedMessage(state=aborted, ancilla_dim=1, aborted=True, ancilla_outcome=1)
+            yield decoder, protocol.EncodedMessage(state=aborted, ancilla_dim=1, aborted=True)
 
 
 @pytest.mark.parametrize(
@@ -568,16 +568,67 @@ def test_simulate_tally_matches_reference_on_d3_bundle(d3_bundle):
 
 
 def test_simulate_tally_matches_reference_at_exact_ties(example_bundle, example_decoder, monkeypatch):
-    # Real thresholds almost never equal a drawn uniform, so place them on
-    # two uniforms of chunk 0: a uniform equal to a threshold lies above it,
-    # and a zero-probability outcome between equal thresholds stays empty.
     seed = 7
-    lo, hi = np.sort(rng_from(seed, 0).random(2))
-    probs = np.array([lo, 0.0, hi - lo, 1.0 - hi])
-    cum = np.cumsum(probs)
-    assert cum[0] == cum[1] == lo and cum[2] == hi
-    monkeypatch.setattr(protocol, "bob_distribution", lambda decoder, encoded: probs)
-    assert_tally_matches_reference(example_bundle, example_decoder, 2 * SIM_CHUNK + 5, seed)
+    lo, hi = np.sort(rng_from(seed, 0).random(2)).tolist()
+    below_one, above_one = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    nan = float("nan")
+    cases = [
+        # Real thresholds almost never equal a drawn uniform, so place them on
+        # two uniforms of chunk 0: a uniform equal to a threshold lies above it,
+        # and a zero-probability outcome between equal thresholds stays empty.
+        (lo, lo, hi),
+        # Thresholds at and beyond the ends of [0, 1), whose counts need no draw.
+        (0.0, lo, 1.0),
+        (0.0, 0.0, 1.0),
+        (0.0, 0.0, hi),
+        (np.nextafter(0.0, 1.0), lo, above_one),
+        (below_one, 1.0, above_one),
+        (lo, 1.0, 1.0),
+        (above_one, above_one, above_one),
+        # NaN has no uniform below it, as in the loop that counts it.
+        (lo, nan, nan),
+        (nan, nan, nan),
+    ]
+    trials = 2 * SIM_CHUNK + 5
+    for thresholds in cases:
+        probs = np.diff([0.0, *thresholds, 1.0])
+        assert np.array_equal(np.cumsum(probs)[:3], thresholds, equal_nan=True)
+        monkeypatch.setattr(protocol, "bob_distribution", lambda decoder, encoded: probs)
+        for variant in (VARIANT_MEASURE, VARIANT_NO_MEASURE):
+            for message in range(example_bundle.n_messages):
+                args = (example_bundle, example_decoder, message, trials, variant, seed)
+                hist = simulate(*args).outcome_histogram
+                assert hist == simulate_counting_loop(*args), (thresholds, variant, message)
+                if not np.isnan(thresholds).any():
+                    assert hist == searchsorted_reference(*args)
+
+
+def test_simulate_builds_no_generator_for_a_fixed_outcome(example_bundle, example_decoder, monkeypatch):
+    # Messages whose thresholds all lie at or beyond the ends of [0, 1), and
+    # that sample no abort, get the counting loop's histogram without a draw.
+    trials, seed = 100_000, 12345
+    # This bundle seed puts the uniform spectrum's final thresholds at 0, 0, 1 + 2**-52; p1 = 0.
+    uniform = build_bundle(uniform_spectrum(2), default_messages(2), seed=1)
+    uniform_decoder = build_decoder(uniform)
+    assert uniform.p1 == 0.0
+    variants = (VARIANT_MEASURE, VARIANT_NO_MEASURE)
+    for variant in variants:
+        dist = bob_distribution(uniform_decoder, _delivered(uniform, 2, variant))
+        assert np.cumsum(dist)[:3].tolist() == [0.0, 0.0, 1.0 + 2.0 ** -52]
+    cases = [(example_bundle, example_decoder, m, v) for m in (0, 1) for v in variants]
+    cases += [(uniform, uniform_decoder, 2, v) for v in variants]
+    wants = [simulate_counting_loop(b, dec, m, trials, v, seed) for b, dec, m, v in cases]
+
+    def refuse(*stream):
+        raise AssertionError(f"simulate built a generator for stream {stream}")
+
+    monkeypatch.setattr(protocol, "rng_from", refuse)
+    for (bundle, decoder, message, variant), want in zip(cases, wants):
+        assert want[str(message)] == trials
+        assert simulate(bundle, decoder, message, trials, variant, seed).outcome_histogram == want
+    for variant in variants:
+        with pytest.raises(AssertionError, match="simulate built a generator"):
+            simulate(example_bundle, example_decoder, 2, trials, variant, seed)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
