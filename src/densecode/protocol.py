@@ -27,7 +27,7 @@ import numpy as np
 from . import tolerances
 from .channels import QuantumChannel, dilation_unitary, trace_out_ancilla_state
 from .encoding import UnitaryMessageSet, certify_lifted, lift_messages, weyl_set
-from .linalg import complete_to_unitary, dagger, frozen, max_abs, rng_from, unitarity_defect
+from .linalg import complete_to_unitary, dagger, frozen, max_abs, rng_streams, unitarity_defect
 from .serialize import SCHEMA, matrix_to_json, sig15
 from .states import SchmidtSpectrum, local_action, make_schmidt_state
 
@@ -423,8 +423,9 @@ def simulate(
     """Monte-Carlo run: encode, then sample the receiver's projective outcome.
 
     Trials run in chunks of ``SIM_CHUNK``; chunk ``k`` draws from the derived
-    stream ``rng_from(seed, k)``.  Each trial takes one uniform, inverted
-    through the cumulative receiver distribution, and the measured final
+    stream ``rng_from(seed, k)``, and ``rng_streams`` derives the chunks'
+    streams in one batch.  Each trial takes one uniform, inverted through the
+    cumulative receiver distribution, and the measured final
     message with p1 > 0 takes a second one per trial, after them, for its
     ancilla abort.  A chunk counts its uniforms under each cumulative
     threshold, aborts pushed past them all, for that inversion's histogram
@@ -456,9 +457,9 @@ def simulate(
     tally = dict.fromkeys(counted, 0)
     aborted = 0
     if counted or sample_abort:
-        for chunk, start in enumerate(range(0, trials, SIM_CHUNK)):
+        starts = range(0, trials, SIM_CHUNK)
+        for start, rng in zip(starts, rng_streams(seed, len(starts))):
             n = min(SIM_CHUNK, trials - start)
-            rng = rng_from(seed, chunk)
             u = rng.random(n)
             if sample_abort:
                 abort = rng.random(n) < bundle.p1

@@ -4,11 +4,14 @@ Each suite runs a seeded batch of configurations through one subsystem and
 reports named worst-case defects.  The same functions back the acceptance
 tests, so the CLI and the test suite certify identical properties.
 
-A suite works in two steps.  It first draws every configuration's inputs in
-a plain loop, configuration k from its own stream ``rng_from(seed, k)`` and
-seeds ``seed + 1000 + k`` and so on.  It then groups the configurations by
-shape and runs every gate once per group on stacked arrays, the dilation's
-Gram-Schmidt completion included.  Only the draws run per configuration.
+A suite works in two steps.  It first draws every configuration's inputs,
+configuration k from its own stream ``rng_from(seed, k)`` and seeds
+``seed + 1000 + k`` and so on.  The streams come from ``rng_streams``, which
+derives all of a suite's Philox keys in one batch, and a configuration takes
+one call per distribution; its spectrum uniforms become spectra once per
+group of equal dimension.  It then groups the configurations by shape and
+runs every gate once per group on stacked arrays, the dilation's
+Gram-Schmidt completion included.  Only the draw calls run per configuration.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .channels import (
     trace_out_ancilla_state,
     validate_kraus,
 )
-from .linalg import dagger, hermitian_eigenvalues, max_abs, numerical_ranks, rng_from, unitarity_defect
+from .linalg import dagger, hermitian_eigenvalues, max_abs, numerical_ranks, rng_streams, unitarity_defect
 from .states import pure_densities, schmidt_coords, validate_spectra
 
 
@@ -81,14 +84,26 @@ class Config(NamedTuple):
     outcomes: int = 0                 # ancilla measurement outcomes (containment suite)
 
 
-def spectrum_values(d: int, rng: np.random.Generator, floor: float = 0.05) -> np.ndarray:
-    """Random full-support spectrum values (floored uniforms, normalized, descending)."""
-    raw = rng.random(d) + floor
-    return -np.sort(-(raw / raw.sum()))
+def _spectra(uniforms: list[np.ndarray], floor: float = 0.05) -> list[np.ndarray]:
+    """Full-support spectra from each ``rng.random(d)`` draw: floored, normalized, descending.
+
+    The arithmetic runs once per group of equal ``d``, row by row as for one draw.
+    """
+    lam = [None] * len(uniforms)
+    for _, group in _groups(list(enumerate(uniforms)), lambda item: len(item[1])):
+        raw = np.stack([u for _, u in group]) + floor
+        for (i, _), row in zip(group, -np.sort(-(raw / raw.sum(axis=1, keepdims=True)), axis=1)):
+            lam[i] = row
+    return lam
 
 
-def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _ginibre(lead: tuple[int, ...], n: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex-Gaussian ``n x n`` matrices ``(*lead, n, n)`` from one draw.
+
+    Each matrix takes its real part, then its imaginary part, matrix by matrix.
+    """
+    g = rng.standard_normal((*lead, 2, n, n))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _densities(g: np.ndarray) -> np.ndarray:
@@ -97,10 +112,10 @@ def _densities(g: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _groups(configs: list[Config], key: Callable[[Config], Hashable]):
-    """Configurations grouped by ``key``, in order of first appearance."""
-    groups: dict[Hashable, list[Config]] = defaultdict(list)
-    for c in configs:
+def _groups(items: list, key: Callable[..., Hashable]):
+    """Items (configurations) grouped by ``key``, in order of first appearance."""
+    groups: dict[Hashable, list] = defaultdict(list)
+    for c in items:
         groups[key(c)].append(c)
     return groups.items()
 
@@ -121,13 +136,12 @@ def _channels(d: int, n_kraus: int, seeds: list[int]) -> np.ndarray:
 
 def draw_dilation(seed: int, configs: int) -> list[Config]:
     """Configurations of ``dilation_suite``: dimension and Kraus count in {2, 3}, then the spectrum."""
-    out = []
-    for k in range(configs):
-        rng = rng_from(seed, k)
-        d = int(rng.integers(2, 4))
-        n_kraus = int(rng.integers(2, 4))
-        out.append(Config(k, d, n_kraus, spectrum_values(d, rng)))
-    return out
+    shapes, uniforms = [], []
+    for rng in rng_streams(seed, configs):
+        d, n_kraus = rng.integers(2, 4, size=2).tolist()
+        shapes.append((d, n_kraus))
+        uniforms.append(rng.random(d))
+    return [Config(k, d, n, lam) for k, ((d, n), lam) in enumerate(zip(shapes, _spectra(uniforms)))]
 
 
 def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
@@ -155,13 +169,13 @@ def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
 def draw_orthogonalize(seed: int, configs: int) -> list[Config]:
     """Configurations of ``orthogonalize_suite``: d cycles 2, 3, 4; spectrum, then a density factor."""
     dims = (2, 3, 4)
-    out = []
-    for k in range(configs):
-        rng = rng_from(seed, k)
+    uniforms, gauss = [], []
+    for k, rng in enumerate(rng_streams(seed, configs)):
         d = dims[k % len(dims)]
-        lam = spectrum_values(d, rng)
-        out.append(Config(k, d, 2, lam, gauss=_ginibre((d * d, d * d), rng)))
-    return out
+        uniforms.append(rng.random(d))
+        gauss.append(_ginibre((), d * d, rng))
+    spectra = _spectra(uniforms)
+    return [Config(k, dims[k % len(dims)], 2, lam, gauss=g) for k, (lam, g) in enumerate(zip(spectra, gauss))]
 
 
 def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
@@ -192,14 +206,16 @@ def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
 
 def draw_independence(seed: int, configs: int) -> list[Config]:
     """Configurations of ``independence_suite``: d and size in 2..4, the collection, then the spectrum."""
-    out = []
-    for k in range(configs):
-        rng = rng_from(seed, k)
-        d = int(rng.integers(2, 5))
-        size = int(rng.integers(2, 5))
-        gauss = np.stack([_ginibre((d, d), rng) for _ in range(size)])
-        out.append(Config(k, d, size, spectrum_values(d, rng), gauss=gauss))
-    return out
+    shapes, uniforms, gauss = [], [], []
+    for rng in rng_streams(seed, configs):
+        d, size = rng.integers(2, 5, size=2).tolist()
+        shapes.append((d, size))
+        gauss.append(_ginibre((size,), d, rng))
+        uniforms.append(rng.random(d))
+    return [
+        Config(k, d, size, lam, gauss=g)
+        for k, ((d, size), lam, g) in enumerate(zip(shapes, _spectra(uniforms), gauss))
+    ]
 
 
 def independence_suite(seed: int, configs: int = 100) -> SuiteReport:
@@ -259,12 +275,11 @@ def identities_suite(d: int = 2) -> SuiteReport:
 
 def draw_containment(seed: int, configs: int) -> list[Config]:
     """Configurations of ``containment_suite``: a d=2 spectrum, then 2 or 3 measurement outcomes."""
-    out = []
-    for k in range(configs):
-        rng = rng_from(seed, k)
-        lam = spectrum_values(2, rng)
-        out.append(Config(k, 2, 3, lam, outcomes=int(rng.integers(2, 4))))
-    return out
+    uniforms, outcomes = [], []
+    for rng in rng_streams(seed, configs):
+        uniforms.append(rng.random(2))
+        outcomes.append(int(rng.integers(2, 4)))
+    return [Config(k, 2, 3, lam, outcomes=o) for k, (lam, o) in enumerate(zip(_spectra(uniforms), outcomes))]
 
 
 def containment_suite(seed: int, configs: int = 50) -> SuiteReport:

@@ -13,7 +13,7 @@ from densecode.protocol import (
     normalize_variant,
 )
 from densecode.states import SchmidtSpectrum, parse_spectrum
-from densecode.suites import spectrum_values
+from densecode.suites import Config
 
 SEED = 0x5EED_D0DE
 
@@ -121,6 +121,62 @@ def simulate_counting_loop(bundle, decoder, message, trials, variant, seed) -> d
     counts["aborted"] = int(aborted)
     counts["undetected"] = int(trials - aborted - below[-1])
     return counts
+
+
+def spectrum_values(d: int, rng: np.random.Generator, floor: float = 0.05) -> np.ndarray:
+    """Random full-support spectrum values (floored uniforms, normalized, descending)."""
+    raw = rng.random(d) + floor
+    return -np.sort(-(raw / raw.sum()))
+
+
+def ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Complex-Gaussian draw: a real ``shape`` draw, then an imaginary one."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def draw_dilation_loop(seed: int, configs: int) -> list[Config]:
+    """Reference for ``suites.draw_dilation``: configuration k from ``rng_from(seed, k)``, draw by draw."""
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        d = int(rng.integers(2, 4))
+        n_kraus = int(rng.integers(2, 4))
+        out.append(Config(k, d, n_kraus, spectrum_values(d, rng)))
+    return out
+
+
+def draw_orthogonalize_loop(seed: int, configs: int) -> list[Config]:
+    """Reference for ``suites.draw_orthogonalize``."""
+    dims = (2, 3, 4)
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        d = dims[k % len(dims)]
+        lam = spectrum_values(d, rng)
+        out.append(Config(k, d, 2, lam, gauss=ginibre((d * d, d * d), rng)))
+    return out
+
+
+def draw_independence_loop(seed: int, configs: int) -> list[Config]:
+    """Reference for ``suites.draw_independence``."""
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        d = int(rng.integers(2, 5))
+        size = int(rng.integers(2, 5))
+        gauss = np.stack([ginibre((d, d), rng) for _ in range(size)])
+        out.append(Config(k, d, size, spectrum_values(d, rng), gauss=gauss))
+    return out
+
+
+def draw_containment_loop(seed: int, configs: int) -> list[Config]:
+    """Reference for ``suites.draw_containment``."""
+    out = []
+    for k in range(configs):
+        rng = rng_from(seed, k)
+        lam = spectrum_values(2, rng)
+        out.append(Config(k, 2, 3, lam, outcomes=int(rng.integers(2, 4))))
+    return out
 
 
 def random_spectrum(d: int, rng: np.random.Generator, floor: float = 0.05) -> SchmidtSpectrum:

@@ -154,6 +154,72 @@ def test_bounds_output_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# ``identities_suite`` takes no seed, so every seed prints these lines.
+VERIFY_IDENTITIES_LINES = (
+    "PASS identities:hypotheses-gram defect=6.661e-16 tol=1.000e-09\n"
+    "PASS identities:cross-column defect=0.000e+00 tol=1.000e-09\n"
+    "PASS identities:row-sum defect=0.000e+00 tol=1.000e-09\n"
+    "PASS identities:row-gram defect=2.541e-33 tol=1.000e-09\n"
+    "PASS identities:terminal-ratio-sum defect=0.000e+00 tol=1.000e-09\n"
+    "PASS identities:completeness defect=2.220e-16 tol=1.000e-09\n"
+    "PASS identities:case-tag-is-balanced defect=0.000e+00 tol=0.000e+00\n"
+    "PASS identities:unbalanced-case-tag defect=0.000e+00 tol=0.000e+00\n"
+    "PASS identities:unbalanced-identities defect=2.220e-16 tol=1.000e-09\n"
+    "PASS identities:uniformity-witness defect=0.000e+00 tol=1.000e-12\n"
+    "PASS identities:uniformity-flag defect=0.000e+00 tol=0.000e+00\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, head, tail",
+    [
+        (
+            [],
+            (
+                "PASS dilation:dilation-unitarity defect=8.882e-16 tol=1.000e-10\n"
+                "PASS dilation:partial-trace-agreement defect=1.113e-16 tol=1.000e-12\n"
+                "PASS orthogonalize:lifted-overlap defect=3.535e-16 tol=1.000e-10\n"
+                "PASS orthogonalize:channel-action-deviation defect=1.689e-16 tol=1.000e-10\n"
+                "PASS orthogonalize:quadratic-residual defect=5.843e-16 tol=1.000e-12\n"
+                "PASS independence:lifted-gram-rank-mismatches defect=0.000e+00 tol=0.000e+00\n"
+            ),
+            "PASS containment:containment-residual defect=2.905e-17 tol=1.000e-09\n",
+        ),
+        (
+            ["--seed", "1"],
+            (
+                "PASS dilation:dilation-unitarity defect=6.661e-16 tol=1.000e-10\n"
+                "PASS dilation:partial-trace-agreement defect=1.241e-16 tol=1.000e-12\n"
+                "PASS orthogonalize:lifted-overlap defect=2.484e-16 tol=1.000e-10\n"
+                "PASS orthogonalize:channel-action-deviation defect=1.667e-16 tol=1.000e-10\n"
+                "PASS orthogonalize:quadratic-residual defect=4.600e-16 tol=1.000e-12\n"
+                "PASS independence:lifted-gram-rank-mismatches defect=0.000e+00 tol=0.000e+00\n"
+            ),
+            "PASS containment:containment-residual defect=2.664e-17 tol=1.000e-09\n",
+        ),
+        (
+            ["--seed", "1099511627779"],
+            (
+                "PASS dilation:dilation-unitarity defect=6.661e-16 tol=1.000e-10\n"
+                "PASS dilation:partial-trace-agreement defect=2.231e-16 tol=1.000e-12\n"
+                "PASS orthogonalize:lifted-overlap defect=2.915e-16 tol=1.000e-10\n"
+                "PASS orthogonalize:channel-action-deviation defect=1.132e-16 tol=1.000e-10\n"
+                "PASS orthogonalize:quadratic-residual defect=1.161e-15 tol=1.000e-12\n"
+                "PASS independence:lifted-gram-rank-mismatches defect=0.000e+00 tol=0.000e+00\n"
+            ),
+            "PASS containment:containment-residual defect=2.577e-17 tol=1.000e-09\n",
+        ),
+    ],
+)
+def test_verify_output_golden(capsys, argv, head, tail):
+    # Pins ``verify``'s bytes: the drawn configurations and every printed
+    # defect.  The defects below 1e-14 are LAPACK and BLAS rounding, recorded
+    # with numpy 2.4's OpenBLAS on x86-64; another build may round otherwise.
+    code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
+    assert code == 0
+    assert out == head + VERIFY_IDENTITIES_LINES + tail
+
+
 def test_bounds_rejects_out_of_range(capsys):
     code, _, err = run(capsys, "bounds", "--d", "3", "--lambda0", "0.5")
     assert code == 1

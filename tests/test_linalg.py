@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from densecode import tolerances
+from densecode import linalg, tolerances
 from densecode.encoding import certify_lifted
 from densecode.linalg import (
     complete_to_unitaries,
@@ -12,6 +15,7 @@ from densecode.linalg import (
     numerical_ranks,
     random_unitaries,
     rng_from,
+    rng_streams,
     unitarity_defect,
 )
 
@@ -281,3 +285,61 @@ def test_completion_deterministic_per_seed():
     assert np.array_equal(a, b)
     c = complete_to_unitary([np.eye(4)[:, 0]], seed=124)
     assert not np.array_equal(a, c)
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1)
+# One stream, both sides of the batching cut-off, a mid-size batch, and
+# counts whose last block of keys is short enough to go through ``rng_from``.
+EDGE_COUNTS = (1, linalg._STREAM_BATCH_MIN - 1, linalg._STREAM_BATCH_MIN, 13, 257, 258)
+
+
+def stream_draws(rng) -> list[np.ndarray]:
+    return [rng.random(5), rng.standard_normal(3), rng.integers(2, 5, size=2)]
+
+
+def assert_streams_equal_rng_from(seed, count):
+    k = -1
+    for k, rng in enumerate(rng_streams(seed, count)):
+        for got, want in zip(stream_draws(rng), stream_draws(rng_from(seed, k))):
+            assert np.array_equal(got, want), (seed, count, k)
+    assert k == count - 1
+
+
+# Warnings are errors: a wrapping uint32 *scalar* product would warn.
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    seed=st.sampled_from(EDGE_SEEDS) | st.integers(min_value=0, max_value=2**64 - 1),
+    count=st.sampled_from(EDGE_COUNTS) | st.integers(min_value=100, max_value=300),
+)
+@example(seed=2**64 - 1, count=300)
+def test_rng_streams_equal_rng_from(seed, count):
+    assert_streams_equal_rng_from(seed, count)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rng_streams_equal_rng_from_at_every_edge():
+    for seed in EDGE_SEEDS:
+        for count in EDGE_COUNTS:
+            assert_streams_equal_rng_from(seed, count)
+
+
+def test_rng_streams_keys_at_the_last_one_word_index():
+    # Indices up to 2**32 - 1 are one spawn-key word; ``rng_streams`` batches
+    # only those, so the last of them must still give ``rng_from``'s key.
+    pool = np.random.SeedSequence(7).pool
+    keys = linalg._philox_keys(pool, 2**32 - 3, 2**32)
+    for key, k in zip(keys, range(2**32 - 3, 2**32)):
+        assert key.tolist() == rng_from(7, k).bit_generator.state["state"]["key"].tolist()
+
+
+def test_rng_streams_derive_keys_lazily():
+    tracemalloc.start()
+    try:
+        first = next(rng_streams(7, 2**40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert np.array_equal(first.random(5), rng_from(7, 0).random(5))
+    assert list(rng_streams(7, 0)) == []

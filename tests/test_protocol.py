@@ -619,15 +619,15 @@ def test_simulate_builds_no_generator_for_a_fixed_outcome(example_bundle, exampl
     cases += [(uniform, uniform_decoder, 2, v) for v in variants]
     wants = [simulate_counting_loop(b, dec, m, trials, v, seed) for b, dec, m, v in cases]
 
-    def refuse(*stream):
-        raise AssertionError(f"simulate built a generator for stream {stream}")
+    def refuse(*streams):
+        raise AssertionError(f"simulate built generators for streams {streams}")
 
-    monkeypatch.setattr(protocol, "rng_from", refuse)
+    monkeypatch.setattr(protocol, "rng_streams", refuse)
     for (bundle, decoder, message, variant), want in zip(cases, wants):
         assert want[str(message)] == trials
         assert simulate(bundle, decoder, message, trials, variant, seed).outcome_histogram == want
     for variant in variants:
-        with pytest.raises(AssertionError, match="simulate built a generator"):
+        with pytest.raises(AssertionError, match="simulate built generators"):
             simulate(example_bundle, example_decoder, 2, trials, variant, seed)
 
 

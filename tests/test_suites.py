@@ -26,6 +26,7 @@ from densecode.channels import (
 from densecode.linalg import hermitian_eigensystem, max_abs, numerical_ranks, rng_from
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state
 from densecode.suites import (
+    Config,
     containment_suite,
     dilation_suite,
     draw_containment,
@@ -36,7 +37,14 @@ from densecode.suites import (
     orthogonalize_suite,
 )
 
-from conftest import SEED, random_channel
+from conftest import (
+    SEED,
+    draw_containment_loop,
+    draw_dilation_loop,
+    draw_independence_loop,
+    draw_orthogonalize_loop,
+    random_channel,
+)
 
 
 def loop_spectrum(d, rng):
@@ -154,3 +162,24 @@ def test_stacked_suite_matches_loop_reference(name, seed):
             assert check.defect == defects[check.name]
         else:
             assert abs(check.defect - defects[check.name]) <= 1e-14, check.name
+
+
+DRAW_REFERENCES = {
+    "dilation": draw_dilation_loop,
+    "orthogonalize": draw_orthogonalize_loop,
+    "independence": draw_independence_loop,
+    "containment": draw_containment_loop,
+}
+
+
+@pytest.mark.parametrize("seed", (SEED,) + tuple(range(1, 21)))
+@pytest.mark.parametrize("name", tuple(SUITES))
+def test_drawn_configs_equal_loop_reference(name, seed):
+    _, draw, _, configs = SUITES[name]
+    drawn, want = draw(seed, configs), DRAW_REFERENCES[name](seed, configs)
+    assert len(drawn) == len(want) == configs
+    for c, w in zip(drawn, want):
+        for field in Config._fields:
+            got, ref = getattr(c, field), getattr(w, field)
+            assert type(got) is type(ref), (field, c.k)
+            assert ref is None or np.array_equal(got, ref), (field, c.k)
