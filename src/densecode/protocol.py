@@ -18,6 +18,7 @@ it raises instead of changing later decodes or the emitted JSON.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -397,6 +398,23 @@ def bob_distribution(decoder: Decoder, encoded: EncodedMessage) -> np.ndarray:
 
 # Trials per derived stream in ``simulate``; part of the seed -> histogram contract.
 SIM_CHUNK = 2 ** 13
+# numpy's ``Generator.random`` turns each raw 64-bit Philox word w into the
+# uniform (w >> 11) * 2**-53, reading the words that ``random_raw`` reads.
+_UNIFORM_BITS = 53
+
+
+def _word_bound(t: float) -> int:
+    """The least raw word whose uniform is not below ``t``, for 0 < t < 1 or NaN.
+
+    A uniform (w >> 11) * 2**-53 lies below t exactly when the integer
+    w >> 11 lies below t * 2**53 (a power-of-two scaling, so exact), that is
+    below its ceiling, so exactly when w < ceil(t * 2**53) << 11.  That
+    ceiling is at most 2**53 - 1, so the bound fits a uint64.  NaN has no
+    uniform below it: bound 0.
+    """
+    if math.isnan(t):
+        return 0
+    return math.ceil(math.ldexp(t, _UNIFORM_BITS)) << (64 - _UNIFORM_BITS)
 
 
 @dataclass(frozen=True)
@@ -427,17 +445,22 @@ def simulate(
     streams in one batch.  Each trial takes one uniform, inverted through the
     cumulative receiver distribution, and the measured final
     message with p1 > 0 takes a second one per trial, after them, for its
-    ancilla abort.  A chunk counts its uniforms under each cumulative
-    threshold, aborts pushed past them all, for that inversion's histogram
+    ancilla abort.  No uniform is formed: a chunk reads the raw Philox words
+    that ``Generator.random`` would convert, and a word lies below a
+    threshold's integer bound (``_word_bound``) exactly when its uniform
+    lies below the threshold, so every count is the one the uniforms give.
+    Thresholds within 2**-53 of each other can share a bound, and each
+    distinct bound is counted once.  A chunk counts its kept (not aborted)
+    trials' words under each bound for that inversion's histogram
     without a per-trial code (one multinomial per chunk is faster but changes
     every seed's).  A seed therefore fixes the histogram whatever order the
     chunks run in.  A uniform lies in [0, 1), so a threshold <= 0 has none
     below it and one >= 1 every kept one: only the other thresholds (NaN
-    included, with none below) are counted from the draws.  At p1 == 0 an
-    abort draw would abort nothing.  So a message with nothing to count and
-    no abort to sample, such as a perfectly distinguishable unitary one,
-    builds no stream, and each histogram is the one that drawing and
-    counting everything gives.
+    included, with bound 0) are counted from the draws.  At p1 == 0 an
+    abort draw would abort nothing, and at p1 >= 1 every one aborts.  So a
+    message with nothing to count and no abort to sample, such as a
+    perfectly distinguishable unitary one, builds no stream, and each
+    histogram is the one that drawing and counting everything gives.
     Residual probability mass outside the decoder projectors lands in an
     explicit ``undetected`` bucket rather than being renormalized away.
     """
@@ -453,22 +476,25 @@ def simulate(
     cum = np.cumsum(bob_distribution(decoder, _delivered(bundle, message, variant)))
 
     thresholds = cum[: decoder.n_outcomes].tolist()
-    counted = [j for j, c in enumerate(thresholds) if not (c <= 0.0 or c >= 1.0)]
-    tally = dict.fromkeys(counted, 0)
+    bounds = {j: _word_bound(c) for j, c in enumerate(thresholds) if not (c <= 0.0 or c >= 1.0)}
+    tally = dict.fromkeys(bounds.values(), 0)
     aborted = 0
-    if counted or sample_abort:
+    if sample_abort and bundle.p1 >= 1.0:
+        aborted = trials  # every uniform lies below p1, and _word_bound(p1) would not fit a word
+    elif tally or sample_abort:
+        abort_bound = _word_bound(bundle.p1) if sample_abort else 0
         starts = range(0, trials, SIM_CHUNK)
         for start, rng in zip(starts, rng_streams(seed, len(starts))):
             n = min(SIM_CHUNK, trials - start)
-            u = rng.random(n)
+            words = rng.bit_generator.random_raw(n)
             if sample_abort:
-                abort = rng.random(n) < bundle.p1
-                aborted += np.count_nonzero(abort)
-                u[abort] = np.inf
-            for j in counted:
-                tally[j] += np.count_nonzero(u < thresholds[j])
+                kept_trials = rng.bit_generator.random_raw(n) >= abort_bound
+                aborted += n - np.count_nonzero(kept_trials)
+            for b in tally:
+                hits = words < b
+                tally[b] += np.count_nonzero(hits & kept_trials if sample_abort else hits)
     kept = trials - aborted
-    below = [tally.get(j, kept if c >= 1.0 else 0) for j, c in enumerate(thresholds)]
+    below = [tally[bounds[j]] if j in bounds else kept if c >= 1.0 else 0 for j, c in enumerate(thresholds)]
 
     counts = {str(j): int(hi - lo) for j, (lo, hi) in enumerate(zip([0, *below], below))}
     counts["aborted"] = int(aborted)

@@ -16,6 +16,7 @@ from densecode.linalg import (
     random_unitaries,
     rng_from,
     rng_streams,
+    rngs_from,
     unitarity_defect,
 )
 
@@ -343,3 +344,42 @@ def test_rng_streams_derive_keys_lazily():
     assert peak < 1 << 20, peak
     assert np.array_equal(first.random(5), rng_from(7, 0).random(5))
     assert list(rng_streams(7, 0)) == []
+
+
+def assert_rngs_equal_rng_from(seeds):
+    rngs = rngs_from(seeds)
+    assert len(rngs) == len(seeds)
+    for seed, rng in zip(seeds, rngs):
+        for got, want in zip(stream_draws(rng), stream_draws(rng_from(seed))):
+            assert np.array_equal(got, want), (seeds, seed)
+
+
+# Seeds past 64 bits and below zero are masked to 64 bits, as ``rng_from`` does.
+PER_SEED_EDGES = (*EDGE_SEEDS, 2**70 + 3, -(2**64) - 5)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(
+        st.sampled_from(PER_SEED_EDGES) | st.integers(min_value=-(2**70), max_value=2**70),
+        max_size=40,
+    )
+)
+@example(seeds=list(PER_SEED_EDGES))
+@example(seeds=[5, 5])
+def test_rngs_from_equal_rng_from(seeds):
+    assert_rngs_equal_rng_from(seeds)
+
+
+def test_per_seed_generators_feed_the_stacked_draws():
+    # ``random_unitaries`` and ``complete_to_unitaries`` take their streams
+    # from ``rngs_from``: a stack matches the same seeds drawn one at a time.
+    seeds = [2**64 - 1, 0, 2**32, 1099511627779]
+    assert_rngs_equal_rng_from(seeds)
+    stacked = random_unitaries(3, seeds)
+    for seed, u in zip(seeds, stacked):
+        assert np.array_equal(u, random_unitaries(3, [seed])[0])
+    cols = np.eye(4, dtype=complex)[None, :1].repeat(len(seeds), axis=0)
+    for seed, m in zip(seeds, complete_to_unitaries(cols, seeds)):
+        assert np.array_equal(m, complete_to_unitary_loop(cols[0], seed))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from densecode import protocol, tolerances
 from densecode.channels import dilate, dilation_unitary
 from densecode.encoding import UnitaryMessageSet, certify_distinguishable, search_message_set, weyl_set
-from densecode.linalg import max_abs, random_unitaries, rng_from
+from densecode.linalg import max_abs, random_unitaries, rng_from, rng_streams
 from densecode.protocol import (
     SIM_CHUNK,
     BundleError,
@@ -567,9 +567,79 @@ def test_simulate_tally_matches_reference_on_d3_bundle(d3_bundle):
         assert_tally_matches_reference(d3_bundle, decoder, trials, seed)
 
 
+def uniform_of(word):
+    """The uniform that numpy's ``Generator.random`` makes of a raw 64-bit word (or uint64 array)."""
+    return (word >> 11) * 2.0 ** -53
+
+
+_DYADIC = st.integers(min_value=1, max_value=2 ** 53 - 1).map(lambda k: math.ldexp(k, -53))
+_THRESHOLDS = (
+    st.sampled_from([5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53])
+    | _DYADIC
+    | _DYADIC.map(lambda t: math.nextafter(t, 0.0))
+    | _DYADIC.map(lambda t: math.nextafter(t, 1.0)).filter(lambda t: t < 1.0)
+    | st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    t=_THRESHOLDS,
+    words=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=4),
+    offsets=st.lists(st.integers(min_value=-4096, max_value=4096), min_size=1, max_size=4),
+)
+@example(t=2.0 ** -53, words=[0, 2047, 2048, 4095, 4096], offsets=[0])
+@example(t=1.0 - 2.0 ** -53, words=[2 ** 64 - 1, 2 ** 64 - 2049, 2 ** 64 - 2048], offsets=[0])
+def test_word_bound_splits_words_as_their_uniforms(t, words, offsets):
+    # A word lies below the bound exactly when its uniform lies below t,
+    # checked on arbitrary words and on words around the bound itself.
+    bound = protocol._word_bound(t)
+    assert 0 < bound <= 2 ** 64 - 2 ** 11
+    near = [min(max(bound + off, 0), 2 ** 64 - 1) for off in offsets]
+    all_words = [*words, *near, bound - 1, bound]
+    for w in all_words:
+        assert (uniform_of(w) < t) == (w < bound), (t, w, bound)
+    # numpy's uint64 comparison against the Python int bound, as ``simulate`` makes it.
+    arr = np.array(all_words, dtype=np.uint64)
+    assert ((arr < bound) == np.array([uniform_of(w) < t for w in all_words])).all()
+    assert not (np.uint64(2 ** 64 - 1) < bound)
+
+
+def test_word_bound_of_nan_has_no_word_below():
+    assert protocol._word_bound(float("nan")) == 0
+
+
+def rng_from_pairs():
+    keys = ((0, 0), (12345, 3), (2 ** 64 - 1, 0))
+    return [(rng_from(s, k), rng_from(s, k)) for s, k in keys]
+
+
+def rng_streams_pairs():
+    seeds = (0, 12345, 2 ** 64 - 1)
+    return [pair for s in seeds for pair in zip(rng_streams(s, 13), rng_streams(s, 13))]
+
+
+@pytest.mark.parametrize("pairs", [rng_from_pairs, rng_streams_pairs])
+def test_random_is_the_raw_words_converted(pairs):
+    # ``simulate`` counts raw words in place of ``random``'s uniforms; a numpy
+    # that changed this conversion would change every histogram.
+    for rng, twin in pairs():
+        for n in (1, 5, SIM_CHUNK + 3):
+            words = twin.bit_generator.random_raw(n)
+            assert np.array_equal(rng.random(n), uniform_of(words))
+        assert np.array_equal(rng.random(3), twin.random(3))
+
+
 def test_simulate_tally_matches_reference_at_exact_ties(example_bundle, example_decoder, monkeypatch):
     seed = 7
-    lo, hi = np.sort(rng_from(seed, 0).random(2)).tolist()
+    words = rng_from(seed, 0).bit_generator.random_raw(2 * SIM_CHUNK)
+    uniforms = uniform_of(words)
+    lo, hi = np.sort(uniforms[:2]).tolist()
+    # The uniforms of the first trial word and the first abort word of chunk 0
+    # whose low 11 bits are zero: each word equals its uniform's word bound.
+    on_bound = words % 2048 == 0
+    exact = float(uniforms[:SIM_CHUNK][on_bound[:SIM_CHUNK]][0])
+    p1 = float(uniforms[SIM_CHUNK:][on_bound[SIM_CHUNK:]][0])
     below_one, above_one = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
     nan = float("nan")
     cases = [
@@ -577,6 +647,16 @@ def test_simulate_tally_matches_reference_at_exact_ties(example_bundle, example_
         # two uniforms of chunk 0: a uniform equal to a threshold lies above it,
         # and a zero-probability outcome between equal thresholds stays empty.
         (lo, lo, hi),
+        # Doubles next to a drawn uniform: below 1/2 the one under it shares
+        # its word bound (counted once), above 1/2 it is the next uniform down,
+        # and the one over it has the next bound up.  Then the d = 2 instance's
+        # measured final-message thresholds, which share a bound, and
+        # thresholds on a word that equals its own bound.
+        (np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0)),
+        (np.nextafter(hi, 0.0), hi, below_one),
+        (2.816077478181269e-17, 5.563199715134442e-17, hi),
+        (np.nextafter(exact, 0.0), exact, np.nextafter(exact, 1.0)),
+        (exact, exact, hi),
         # Thresholds at and beyond the ends of [0, 1), whose counts need no draw.
         (0.0, lo, 1.0),
         (0.0, 0.0, 1.0),
@@ -590,6 +670,12 @@ def test_simulate_tally_matches_reference_at_exact_ties(example_bundle, example_
         (nan, nan, nan),
     ]
     trials = 2 * SIM_CHUNK + 5
+    # p1 on that abort uniform, and its two neighbours: that trial aborts only
+    # at the upper one.  Then p1 at and beyond 1, where every trial aborts and
+    # no word bound exists.
+    near = (np.nextafter(p1, 0.0), p1, np.nextafter(p1, 1.0))
+    bundles = [dataclasses.replace(example_bundle, p1=float(x)) for x in (*near, 1.0, above_one)]
+    final = example_bundle.n_messages - 1
     for thresholds in cases:
         probs = np.diff([0.0, *thresholds, 1.0])
         assert np.array_equal(np.cumsum(probs)[:3], thresholds, equal_nan=True)
@@ -601,6 +687,13 @@ def test_simulate_tally_matches_reference_at_exact_ties(example_bundle, example_
                 assert hist == simulate_counting_loop(*args), (thresholds, variant, message)
                 if not np.isnan(thresholds).any():
                     assert hist == searchsorted_reference(*args)
+        aborts = []
+        for bundle in bundles:
+            args = (bundle, example_decoder, final, trials, VARIANT_MEASURE, seed)
+            hist = simulate(*args).outcome_histogram
+            assert hist == simulate_counting_loop(*args), (thresholds, bundle.p1)
+            aborts.append(hist["aborted"])
+        assert aborts[0] <= aborts[1] < aborts[2] <= aborts[3] == aborts[4] == trials
 
 
 def test_simulate_builds_no_generator_for_a_fixed_outcome(example_bundle, example_decoder, monkeypatch):
