@@ -70,15 +70,6 @@ class ImpossibilityReport:
         named = {k: v for k, v in self.defects.items() if k != "hypotheses_gram"}
         return max(named.values()) if named else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "b": [float(v) for v in self.b],
-            "gamma_row": self.gamma_row,
-            "case_tag": self.case_tag,
-            "defects": {k: float(v) for k, v in sorted(self.defects.items())},
-        }
-
 
 def verify_necessary_identities(
     spectrum: SchmidtSpectrum,

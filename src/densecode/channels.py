@@ -186,8 +186,9 @@ class OrthogonalizationResult:
     ``residual`` is the worse of the two roots' residuals in the
     orthogonality quadratic (``orthogonality_quadratics``), 0.0 where the
     pair was already orthogonal.  ``overlap`` is |<phi_0|phi_1>| of the
-    mixed pair's lifted states, the value the final gate compares against
-    the unitarity tolerance.
+    mixed pair's lifted states.  Nothing here gates either number: the
+    ``orthogonalize`` suite reports them against the quadratic and unitarity
+    tolerances.
     """
 
     v: np.ndarray
@@ -258,8 +259,6 @@ def orthogonalize_kraus_pairs(
 
     phi = local_action(pairs, coords[..., None, :])
     roots, residual, orthogonal = orthogonality_quadratics(phi[..., 0, :], phi[..., 1, :])
-    if residual.max() > tol.quadratic:
-        raise RuntimeError(f"orthogonalize_kraus_pairs: root residual {residual.max():g}")
     modulus, angle = np.abs(roots), np.arctan2(roots.imag, roots.real)
     second = (modulus[..., 1] < modulus[..., 0]) | (
         (modulus[..., 1] == modulus[..., 0]) & (angle[..., 1] < angle[..., 0])
@@ -279,8 +278,6 @@ def orthogonalize_kraus_pairs(
     mixed = np.where(orthogonal[..., None, None, None], pairs, mixed)
     lifted = local_action(mixed, coords[..., None, :])
     overlap = np.abs(_inner(lifted[..., 0, :], lifted[..., 1, :]))
-    if overlap.max() > tol.unitarity:
-        raise RuntimeError(f"orthogonalize_kraus_pairs: residual overlap {overlap.max():g}")
     result = OrthogonalizationResult(v=v, z=z, theta=theta, xi=xi, residual=residual, overlap=overlap)
     return result, mixed
 

@@ -19,8 +19,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import tolerances
 from .encoding import message_set_from_json, message_set_to_json, search_message_set
 from .protocol import (
@@ -116,8 +114,7 @@ def _bundle_from_args(args):
 def cmd_example_d2(args) -> int:
     bundle = _bundle_from_args(args)
     decoder = build_decoder(bundle)
-    rng = np.random.default_rng(0)  # no-measure encoding consumes no randomness
-    encoded = encode_message(bundle, 2, VARIANT_NO_MEASURE, rng)
+    encoded = encode_message(bundle, 2, VARIANT_NO_MEASURE, None)  # no-measure draws nothing
     dist = bob_distribution(decoder, encoded)
 
     expected = {
@@ -313,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except BundleError as err:
         return _fail(str(err), defects={k: float(v) for k, v in err.defects.items()})
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, RuntimeError) as err:
         return _fail(str(err))
 
 

@@ -119,25 +119,22 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrix from d^2 real parameters (diagonal, then re/im pairs).
-
-    A ``(..., d^2)`` stack of parameter blocks gives a ``(..., d, d)`` stack.
-    """
-    theta = np.asarray(theta, dtype=float)
-    rows, cols = _upper_pairs(d)
-    h = np.zeros(theta.shape[:-1] + (d, d), dtype=complex)
-    h[..., np.arange(d), np.arange(d)] = theta[..., :d]
-    upper = theta[..., d::2] + 1j * theta[..., d + 1 :: 2]
-    h[..., rows, cols] = upper
-    h[..., cols, rows] = upper.conj()
-    return h
-
-
 @lru_cache(maxsize=None)
 def _generator_basis(d: int) -> np.ndarray:
-    """Read-only dH/dtheta as ``(d^2, d^2)``: row p is parameter p's Hermitian matrix, flattened."""
-    basis = hermitian_from_params(np.eye(d * d), d).reshape(d * d, d * d)
+    """Read-only dH/dtheta as ``(d^2, d^2)``: row p is parameter p's Hermitian matrix, flattened.
+
+    The d^2 parameters are the diagonal entries, then a real and an
+    imaginary unit for each ``_upper_pairs`` pair, mirrored below the
+    diagonal by conjugation.
+    """
+    rows, cols = _upper_pairs(d)
+    diag, pairs = np.arange(d), np.arange(len(rows))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[d + 2 * pairs, rows, cols] = 1.0
+    basis[d + 2 * pairs + 1, rows, cols] = 1j
+    basis[:, cols, rows] = basis[:, rows, cols].conj()
+    basis = basis.reshape(d * d, d * d)
     basis.setflags(write=False)
     return basis
 
@@ -160,8 +157,8 @@ def _exponentials(params: np.ndarray, d: int) -> np.ndarray:
     """``exp(i H)`` for every ``d^2``-parameter block of ``params``, by one stacked eigensolve.
 
     The generators are one product with the basis, whose entries 0, 1 and
-    +-i make it exact: each H equals ``hermitian_from_params`` of its block
-    entry for entry.  Returns ``(blocks, d, d)``.
+    +-i make it exact: each H holds its block's parameters entry for entry.
+    Returns ``(blocks, d, d)``.
     """
     h = np.reshape(params, (-1, d * d)) @ _generator_basis(d)
     w, q = np.linalg.eigh(h.reshape(-1, d, d))
@@ -170,10 +167,7 @@ def _exponentials(params: np.ndarray, d: int) -> np.ndarray:
 
 def _messages_at(theta: np.ndarray, d: int, count: int) -> np.ndarray:
     """The pinned identity, then ``exp(i H_k)`` for each of the ``count - 1`` blocks of ``theta``."""
-    us = np.empty((count, d, d), dtype=complex)
-    us[0] = np.eye(d)
-    us[1:] = _exponentials(theta, d)
-    return us
+    return np.concatenate([np.eye(d, dtype=complex)[None], _exponentials(theta, d)])
 
 
 def _pair_overlaps(spectrum: SchmidtSpectrum, us: np.ndarray) -> np.ndarray:
@@ -320,8 +314,6 @@ def search_message_set(
         raise ValueError("search_message_set: max_iters must be positive")
     if not capacity_bound_check(spectrum, count):
         raise ValueError("search_message_set: spectrum violates the capacity bound for count")
-    if count == 1:
-        return UnitaryMessageSet(d=d, unitaries=(np.eye(d, dtype=complex),))
     psi = make_schmidt_state(spectrum)
     n_params = (count - 1) * d * d
     for restart in range(max_iters):

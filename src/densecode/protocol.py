@@ -233,10 +233,14 @@ def build_bundle(
     )
 
 
+def _bound_general(d: int, lambda0: float) -> float:
+    """(d^3 (d-1) / 2) (lambda0 - 1/d): the general bound from d and the largest coefficient alone."""
+    return (d ** 3) * (d - 1) / 2.0 * (lambda0 - 1.0 / d)
+
+
 def p1_bound_general(spectrum: SchmidtSpectrum) -> float:
     """Spectrum-only overestimate of p1: (d^3 (d-1) / 2) (lambda0 - 1/d)."""
-    d = spectrum.d
-    return (d ** 3) * (d - 1) / 2.0 * (spectrum.lambdas[0] - 1.0 / d)
+    return _bound_general(spectrum.d, spectrum.lambdas[0])
 
 
 def p1_equal_tail(d: int, lambda0: float) -> tuple[float, float]:
@@ -258,19 +262,13 @@ def p1_equal_tail(d: int, lambda0: float) -> tuple[float, float]:
     return exact, bound
 
 
-def equal_tail_spectrum(d: int, lambda0: float) -> SchmidtSpectrum:
-    """Spectrum with largest coefficient lambda0 and a flat tail."""
-    tail = (1.0 - lambda0) / (d - 1)
-    return SchmidtSpectrum.from_values([lambda0] + [tail] * (d - 1))
-
-
 def bounds_rows(d: int, lambda0s) -> list[dict[str, float]]:
     """Sweep rows (d, lambda0, exact p1, general bound, equal-tail bound)."""
     eq = tolerances.get().equality
     rows = []
     for lam0 in lambda0s:
         exact, bound_tail = p1_equal_tail(d, float(lam0))
-        bound_gen = p1_bound_general(equal_tail_spectrum(d, float(lam0)))
+        bound_gen = _bound_general(d, float(lam0))
         if bound_tail > bound_gen + eq:  # p1_equal_tail has checked exact <= bound_tail
             raise RuntimeError(f"bound ordering violated at d={d}, lambda0={lam0}")
         rows.append(

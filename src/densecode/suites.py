@@ -73,6 +73,13 @@ class SuiteReport:
         }
 
 
+DILATION_CONFIGS = 50        # configurations per suite run
+ORTHOGONALIZE_CONFIGS = 100
+INDEPENDENCE_CONFIGS = 100
+CONTAINMENT_CONFIGS = 50
+SPECTRUM_FLOOR = 0.05        # added to each spectrum uniform before normalizing
+
+
 class Config(NamedTuple):
     """One drawn configuration of a suite."""
 
@@ -84,14 +91,14 @@ class Config(NamedTuple):
     outcomes: int = 0                 # ancilla measurement outcomes (containment suite)
 
 
-def _spectra(uniforms: list[np.ndarray], floor: float = 0.05) -> list[np.ndarray]:
+def _spectra(uniforms: list[np.ndarray]) -> list[np.ndarray]:
     """Full-support spectra from each ``rng.random(d)`` draw: floored, normalized, descending.
 
     The arithmetic runs once per group of equal ``d``, row by row as for one draw.
     """
     lam = [None] * len(uniforms)
     for _, group in _groups(list(enumerate(uniforms)), lambda item: len(item[1])):
-        raw = np.stack([u for _, u in group]) + floor
+        raw = np.stack([u for _, u in group]) + SPECTRUM_FLOOR
         for (i, _), row in zip(group, -np.sort(-(raw / raw.sum(axis=1, keepdims=True)), axis=1)):
             lam[i] = row
     return lam
@@ -134,22 +141,22 @@ def _channels(d: int, n_kraus: int, seeds: list[int]) -> np.ndarray:
     return kraus
 
 
-def draw_dilation(seed: int, configs: int) -> list[Config]:
+def draw_dilation(seed: int) -> list[Config]:
     """Configurations of ``dilation_suite``: dimension and Kraus count in {2, 3}, then the spectrum."""
     shapes, uniforms = [], []
-    for rng in rng_streams(seed, configs):
+    for rng in rng_streams(seed, DILATION_CONFIGS):
         d, n_kraus = rng.integers(2, 4, size=2).tolist()
         shapes.append((d, n_kraus))
         uniforms.append(rng.random(d))
     return [Config(k, d, n, lam) for k, ((d, n), lam) in enumerate(zip(shapes, _spectra(uniforms)))]
 
 
-def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
+def dilation_suite(seed: int) -> SuiteReport:
     """Random trace-preserving channels: dilation unitarity and reduction agreement."""
     tol = tolerances.get()
     worst_unitarity = 0.0
     worst_agreement = 0.0
-    for (d, n_kraus), group in _groups(draw_dilation(seed, configs), lambda c: (c.d, c.n)):
+    for (d, n_kraus), group in _groups(draw_dilation(seed), lambda c: (c.d, c.n)):
         kraus = _channels(d, n_kraus, [seed + 1000 + c.k for c in group])
         psi = _states(group)
         u = dilation_unitaries(kraus, [seed + 2000 + c.k for c in group])
@@ -166,11 +173,11 @@ def dilation_suite(seed: int, configs: int = 50) -> SuiteReport:
     )
 
 
-def draw_orthogonalize(seed: int, configs: int) -> list[Config]:
+def draw_orthogonalize(seed: int) -> list[Config]:
     """Configurations of ``orthogonalize_suite``: d cycles 2, 3, 4; spectrum, then a density factor."""
     dims = (2, 3, 4)
     uniforms, gauss = [], []
-    for k, rng in enumerate(rng_streams(seed, configs)):
+    for k, rng in enumerate(rng_streams(seed, ORTHOGONALIZE_CONFIGS)):
         d = dims[k % len(dims)]
         uniforms.append(rng.random(d))
         gauss.append(_ginibre((), d * d, rng))
@@ -178,13 +185,13 @@ def draw_orthogonalize(seed: int, configs: int) -> list[Config]:
     return [Config(k, dims[k % len(dims)], 2, lam, gauss=g) for k, (lam, g) in enumerate(zip(spectra, gauss))]
 
 
-def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
+def orthogonalize_suite(seed: int) -> SuiteReport:
     """Random two-element trace-preserving pairs orthogonalized on random states."""
     tol = tolerances.get()
     worst_overlap = 0.0
     worst_action = 0.0
     worst_residual = 0.0
-    for d, group in _groups(draw_orthogonalize(seed, configs), lambda c: c.d):
+    for d, group in _groups(draw_orthogonalize(seed), lambda c: c.d):
         kraus = _channels(d, 2, [seed + 3000 + c.k for c in group])
         psi = _states(group)
         result, mixed = orthogonalize_kraus_pairs(kraus, psi)
@@ -204,10 +211,10 @@ def orthogonalize_suite(seed: int, configs: int = 100) -> SuiteReport:
     )
 
 
-def draw_independence(seed: int, configs: int) -> list[Config]:
+def draw_independence(seed: int) -> list[Config]:
     """Configurations of ``independence_suite``: d and size in 2..4, the collection, then the spectrum."""
     shapes, uniforms, gauss = [], [], []
-    for rng in rng_streams(seed, configs):
+    for rng in rng_streams(seed, INDEPENDENCE_CONFIGS):
         d, size = rng.integers(2, 5, size=2).tolist()
         shapes.append((d, size))
         gauss.append(_ginibre((size,), d, rng))
@@ -218,7 +225,7 @@ def draw_independence(seed: int, configs: int) -> list[Config]:
     ]
 
 
-def independence_suite(seed: int, configs: int = 100) -> SuiteReport:
+def independence_suite(seed: int) -> SuiteReport:
     """Lifting preserves linear independence: Gram rank equals collection size.
 
     Each collection is its Gaussian draws scaled so that sum K^dag K has top
@@ -227,7 +234,7 @@ def independence_suite(seed: int, configs: int = 100) -> SuiteReport:
     probability zero).
     """
     mismatches = 0
-    for (d, size), group in _groups(draw_independence(seed, configs), lambda c: (c.d, c.n)):
+    for (d, size), group in _groups(draw_independence(seed), lambda c: (c.d, c.n)):
         raw = np.stack([c.gauss for c in group])
         top = hermitian_eigenvalues(kraus_sums(raw))[:, 0]
         kraus = (0.9 / np.sqrt(top))[:, None, None, None] * raw
@@ -273,21 +280,21 @@ def identities_suite(d: int = 2) -> SuiteReport:
     )
 
 
-def draw_containment(seed: int, configs: int) -> list[Config]:
+def draw_containment(seed: int) -> list[Config]:
     """Configurations of ``containment_suite``: a d=2 spectrum, then 2 or 3 measurement outcomes."""
     uniforms, outcomes = [], []
-    for rng in rng_streams(seed, configs):
+    for rng in rng_streams(seed, CONTAINMENT_CONFIGS):
         uniforms.append(rng.random(2))
         outcomes.append(int(rng.integers(2, 4)))
     return [Config(k, 2, 3, lam, outcomes=o) for k, (lam, o) in enumerate(zip(_spectra(uniforms), outcomes))]
 
 
-def containment_suite(seed: int, configs: int = 50) -> SuiteReport:
+def containment_suite(seed: int) -> SuiteReport:
     """Ancilla measurements never steer outside the channel output support."""
     tol = tolerances.get()
     worst = 0.0
     for (d, n_kraus, n_outcomes), group in _groups(
-        draw_containment(seed, configs), lambda c: (c.d, c.n, c.outcomes)
+        draw_containment(seed), lambda c: (c.d, c.n, c.outcomes)
     ):
         kraus = _channels(d, n_kraus, [seed + 4000 + c.k for c in group])
         psi = _states(group)

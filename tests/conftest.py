@@ -123,6 +123,22 @@ def simulate_counting_loop(bundle, decoder, message, trials, variant, seed) -> d
     return counts
 
 
+def hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
+    """Hermitian matrix from d^2 real parameters (diagonal, then re/im pairs), by fancy-indexed fill.
+
+    The reference for ``encoding._generator_basis``.  A ``(..., d^2)`` stack
+    of parameter blocks gives a ``(..., d, d)`` stack.
+    """
+    theta = np.asarray(theta, dtype=float)
+    rows, cols = np.triu_indices(d, 1)
+    h = np.zeros(theta.shape[:-1] + (d, d), dtype=complex)
+    h[..., np.arange(d), np.arange(d)] = theta[..., :d]
+    upper = theta[..., d::2] + 1j * theta[..., d + 1 :: 2]
+    h[..., rows, cols] = upper
+    h[..., cols, rows] = upper.conj()
+    return h
+
+
 def spectrum_values(d: int, rng: np.random.Generator, floor: float = 0.05) -> np.ndarray:
     """Random full-support spectrum values (floored uniforms, normalized, descending)."""
     raw = rng.random(d) + floor

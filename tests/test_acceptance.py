@@ -115,7 +115,7 @@ def test_criterion_4_kraus_condition_suite(capsys):
 
 
 def test_criterion_5_dilation_suite(capsys):
-    report = dilation_suite(SEED, configs=50)
+    report = dilation_suite(SEED)
     by_name = {c.name: c for c in report.checks}
     assert by_name["dilation-unitarity"].defect < 1e-10
     assert by_name["partial-trace-agreement"].defect < 1e-12
@@ -125,7 +125,7 @@ def test_criterion_5_dilation_suite(capsys):
 
 
 def test_criterion_6_orthogonalization_suite(capsys):
-    report = orthogonalize_suite(SEED, configs=100)
+    report = orthogonalize_suite(SEED)
     by_name = {c.name: c for c in report.checks}
     assert by_name["lifted-overlap"].defect < 1e-10
     assert by_name["channel-action-deviation"].defect < 1e-10
@@ -136,7 +136,7 @@ def test_criterion_6_orthogonalization_suite(capsys):
 
 
 def test_criterion_7_lifted_independence(capsys):
-    report = independence_suite(SEED, configs=100)
+    report = independence_suite(SEED)
     assert report.checks[0].defect == 0.0
     with capsys.disabled():
         _report(7, "100 random collections: lifted Gram rank equals size")
@@ -164,7 +164,7 @@ def test_criterion_8_identity_suite(capsys):
 
 
 def test_criterion_9_support_containment(capsys):
-    report = containment_suite(SEED, configs=50)
+    report = containment_suite(SEED)
     assert report.checks[0].defect < 1e-9
     with capsys.disabled():
         _report(9, f"50 configurations: worst residual {report.checks[0].defect:.1e}")

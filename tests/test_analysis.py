@@ -143,9 +143,3 @@ def test_uniformity_witness_lower_bound():
         value, _ = uniformity_witness(random_spectrum(d, rng))
         assert value >= d - 1e-12
 
-
-def test_report_serialization():
-    spectrum, messages, k0, k1 = weyl_witness(2)
-    doc = verify_necessary_identities(spectrum, messages, k0, k1).to_dict()
-    assert doc["case_tag"] == CASE_I
-    assert set(doc["defects"]) >= {"cross_column", "row_sum", "row_gram", "terminal"}

@@ -140,11 +140,11 @@ def test_bounds_json_format(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("--d", "3"), "f0bce42268227e4a7ad247e3c1f6e44508882a6d42a484ff26340452afd601af"),
+        (("--d", "3"), "0ac6e9e9dd5f0bff4038159edf75309c9df37b0b4eabedeab9f0fecea2a17e53"),
         (("--d", "4", "--format", "json"),
          "9d6586197ad98cfe4ac017767031989f9d529b1cf92e270b901435a524ba3a34"),
         (("--d", "3", "--lambda0", "1/3,3/8,0.4"),
-         "396c7ea053cb3607ea0abc855ed87d82546a77af287087cb805ada894fc2d2de"),
+         "560d5e81f686a6a37d7b586349b68968772c93c24a86f45bba8b71c23cf85123"),
     ],
 )
 def test_bounds_output_golden(capsys, argv, digest):
@@ -152,6 +152,23 @@ def test_bounds_output_golden(capsys, argv, digest):
     code, out, _ = run(capsys, "bounds", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_bounds_general_bound_vanishes_at_the_uniform_point(capsys):
+    for d in range(2, 10):
+        code, out, _ = run(capsys, "bounds", "--d", str(d), "--points", "2", "--format", "json")
+        assert code == 0
+        first = json.loads(out)["rows"][0]
+        assert first["lambda0"] == 1.0 / d
+        assert first["p1_bound_general"] == 0.0, d
+
+
+def test_bounds_builds_no_spectrum(capsys):
+    # bounds needs only d and lambda0, so no spectrum sum check can refuse a grid point.
+    _, want, _ = run(capsys, "bounds", "--d", "3")
+    code, out, err = run(capsys, "bounds", "--d", "3", "--tol-equality", "0")
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 # ``identities_suite`` takes no seed, so every seed prints these lines.
@@ -284,6 +301,14 @@ def test_search_then_bundle(tmp_path, capsys):
     assert json.loads(out)["p1"] == pytest.approx(2 / 81, abs=1e-10)
 
 
+def test_verify_reports_a_failed_orthogonalization_gate(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "orthogonalize", "--tol-quadratic", "1e-30")
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL orthogonalize:quadratic-residual defect=")
+
+
 def test_verify_suite_aliases(capsys):
     for suite in ("lemma", "identities", "appendix-c", "support"):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "3")
@@ -346,6 +371,16 @@ def test_unreachable_redraw_threshold_is_an_error_document(capsys):
     doc = json.loads(err)
     assert (doc["schema"], doc["kind"]) == ("densecode/1", "error")
     assert "completion_redraw = 1e+09" in doc["error"]
+
+
+def test_kernel_assertion_is_an_error_document(capsys):
+    # No completion is unitary to 1e-20, so random_unitaries refuses its own result.
+    code, out, err = run(capsys, "verify", "--suite", "dilation", "--tol-unitarity", "1e-20")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert (doc["schema"], doc["kind"]) == ("densecode/1", "error")
+    assert doc["error"].startswith("random_unitaries: defect ")
 
 
 def test_malformed_messages_file_is_an_error_document(capsys, tmp_path):

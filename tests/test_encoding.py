@@ -10,7 +10,6 @@ from densecode.encoding import (
     certify_distinguishable,
     gram_mass_gradient,
     gram_mass_objective,
-    hermitian_from_params,
     lift_messages,
     message_set_from_json,
     message_set_to_json,
@@ -20,6 +19,7 @@ from densecode.encoding import (
 from densecode import encoding
 from densecode.encoding import (
     _exponentials,
+    _generator_basis,
     _levenberg_marquardt,
     _mass,
     _messages_at,
@@ -30,7 +30,7 @@ from densecode.encoding import (
 from densecode.linalg import dagger, max_abs, rng_from, unitarity_defect
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state, uniform_spectrum
 
-from conftest import I2, X, Z, random_spectrum
+from conftest import I2, X, Z, hermitian_from_params, random_spectrum
 
 
 def test_message_set_rejects_non_unitary():
@@ -219,6 +219,15 @@ def test_generators_match_hermitian_from_params(monkeypatch):
         assert np.array_equal(seen[0], hermitian_from_params(theta.reshape(count - 1, d * d), d))
 
 
+def test_generator_basis_is_the_reference_fill():
+    # Bit for bit, signed zeros included: the conjugated lower triangle
+    # carries -0.0 imaginary parts that a literal -1j fill would not.
+    for d in range(2, 9):
+        basis = _generator_basis(d)
+        assert basis.tobytes() == hermitian_from_params(np.eye(d * d), d).tobytes()
+        assert not basis.flags.writeable
+
+
 def test_objective_and_gradient_at_one_message():
     s = SchmidtSpectrum.from_values([0.6, 0.4])
     assert gram_mass_objective(s, np.zeros(0), 1) == 0.0
@@ -359,10 +368,13 @@ def test_restart_with_d2_minus_1_messages_stops_on_progress_rule(values, count, 
 
 
 def test_search_single_message():
-    s = SchmidtSpectrum.from_values([0.6, 0.4])
-    ms = search_message_set(s, 1, seed=1)
-    assert len(ms) == 1
-    assert max_abs(ms.unitaries[0] - I2) == 0.0
+    # One message needs no descent: the restart starts at the pinned
+    # identity, stops at mass 0 and the certificate accepts it.
+    spectra = (SchmidtSpectrum.from_values([0.6, 0.4]),) + tuple(random_spectrum(d, rng_from(d)) for d in (3, 4))
+    for s in spectra:
+        ms = search_message_set(s, 1, seed=1)
+        assert ms.unitaries.shape == (1, s.d, s.d)
+        assert np.array_equal(ms.unitaries[0], np.eye(s.d))
 
 
 def test_search_two_messages_example(example_spectrum):

@@ -26,6 +26,11 @@ from densecode.channels import (
 from densecode.linalg import hermitian_eigensystem, max_abs, numerical_ranks, rng_from
 from densecode.states import SchmidtSpectrum, apply_local, make_schmidt_state
 from densecode.suites import (
+    CONTAINMENT_CONFIGS,
+    DILATION_CONFIGS,
+    INDEPENDENCE_CONFIGS,
+    ORTHOGONALIZE_CONFIGS,
+    SPECTRUM_FLOOR,
     Config,
     containment_suite,
     dilation_suite,
@@ -48,7 +53,7 @@ from conftest import (
 
 
 def loop_spectrum(d, rng):
-    raw = rng.random(d) + 0.05
+    raw = rng.random(d) + SPECTRUM_FLOOR
     return SchmidtSpectrum.from_values(raw / raw.sum())
 
 
@@ -58,7 +63,7 @@ def loop_density(n, rng):
     return rho / np.trace(rho).real
 
 
-def dilation_loop(seed, configs=50):
+def dilation_loop(seed, configs):
     seen, unitarity, agreement = [], 0.0, 0.0
     for k in range(configs):
         rng = rng_from(seed, k)
@@ -76,7 +81,7 @@ def dilation_loop(seed, configs=50):
     return seen, {"dilation-unitarity": unitarity, "partial-trace-agreement": agreement}
 
 
-def orthogonalize_loop(seed, configs=100):
+def orthogonalize_loop(seed, configs):
     seen, overlap, action, residual = [], 0.0, 0.0, 0.0
     for k in range(configs):
         rng = rng_from(seed, k)
@@ -99,7 +104,7 @@ def orthogonalize_loop(seed, configs=100):
     }
 
 
-def independence_loop(seed, configs=100):
+def independence_loop(seed, configs):
     seen, mismatches = [], 0
     for k in range(configs):
         rng = rng_from(seed, k)
@@ -120,7 +125,7 @@ def independence_loop(seed, configs=100):
     return seen, {"lifted-gram-rank-mismatches": float(mismatches)}
 
 
-def containment_loop(seed, configs=50):
+def containment_loop(seed, configs):
     seen, worst = [], 0.0
     for k in range(configs):
         rng = rng_from(seed, k)
@@ -138,10 +143,10 @@ def containment_loop(seed, configs=50):
 
 
 SUITES = {
-    "dilation": (dilation_loop, draw_dilation, dilation_suite, 50),
-    "orthogonalize": (orthogonalize_loop, draw_orthogonalize, orthogonalize_suite, 100),
-    "independence": (independence_loop, draw_independence, independence_suite, 100),
-    "containment": (containment_loop, draw_containment, containment_suite, 50),
+    "dilation": (dilation_loop, draw_dilation, dilation_suite, DILATION_CONFIGS),
+    "orthogonalize": (orthogonalize_loop, draw_orthogonalize, orthogonalize_suite, ORTHOGONALIZE_CONFIGS),
+    "independence": (independence_loop, draw_independence, independence_suite, INDEPENDENCE_CONFIGS),
+    "containment": (containment_loop, draw_containment, containment_suite, CONTAINMENT_CONFIGS),
 }
 
 
@@ -150,12 +155,12 @@ SUITES = {
 def test_stacked_suite_matches_loop_reference(name, seed):
     loop, draw, suite, configs = SUITES[name]
     seen, defects = loop(seed, configs)
-    drawn = draw(seed, configs)
+    drawn = draw(seed)
     assert [c.k for c in drawn] == list(range(configs))
     for c, (d, n, lam) in zip(drawn, seen):
         assert (c.d, c.n) == (d, n)
         assert lam is None or tuple(float(x) for x in c.lam) == lam  # None: dependent draw
-    report = suite(seed, configs)
+    report = suite(seed)
     assert [c.name for c in report.checks] == list(defects)
     for check in report.checks:
         if name == "independence":
@@ -176,7 +181,7 @@ DRAW_REFERENCES = {
 @pytest.mark.parametrize("name", tuple(SUITES))
 def test_drawn_configs_equal_loop_reference(name, seed):
     _, draw, _, configs = SUITES[name]
-    drawn, want = draw(seed, configs), DRAW_REFERENCES[name](seed, configs)
+    drawn, want = draw(seed), DRAW_REFERENCES[name](seed, configs)
     assert len(drawn) == len(want) == configs
     for c, w in zip(drawn, want):
         for field in Config._fields:
